@@ -1,24 +1,29 @@
-"""Names, units and directions of every metric the benchmark reports.
+"""The workloads and metrics of BENCHMARK.json, and how per-layer values are derived.
 
-BENCHMARK.json repeats these lists; bench/test_bench.py keeps the two
-in step. README.md maps each per-layer metric to the end-to-end metric
-and workload it should move.
+BENCHMARK.json at the root of the checkout is the one list of workloads
+and metrics, with their units, directions and bounds. README.md maps
+each per-layer metric to the end-to-end metric and workload it should
+move.
 """
 
 from __future__ import annotations
 
+import json
 import statistics
 from collections import Counter
+from pathlib import Path
 
-WORKLOADS = ("sweep-512", "oracle-mid", "closed-form-large")
+_SPEC = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
+
+WORKLOADS = tuple(w["name"] for w in _SPEC["workloads"])
 
 # (name, unit, better, bound): reported by every untraced run.
-END_TO_END = (
-    ("setup_s", "s", "lower", 0.25),
-    ("moduli_per_s", "1/s", "higher", 0.25),
-    ("latency_ms_p50", "ms", "lower", 0.25),
-    ("peak_rss_mb", "MB", "lower", 0.1),
-)
+END_TO_END = tuple((m["name"], m["unit"], m["better"], m["bound"]) for m in _SPEC["end_to_end"])
+
+# (name, unit, better): reported by every traced run. Metrics of a layer
+# a workload never reaches read 0, as do the sweep.* metrics outside
+# sweep-512.
+PER_LAYER = tuple((m["name"], m["unit"], m["better"]) for m in _SPEC["per_layer"])
 
 # Printed by untraced runs next to END_TO_END, but not part of the
 # result line: the first two exist on sweep-512 only, and fail_ratio is
@@ -29,56 +34,9 @@ SWEEP_ONLY = (
 )
 FAIL_RATIO = ("fail_ratio", "ratio", "lower")
 
+# Layers whose `<layer>.self_s` sums the self time of all their spans.
 LAYERS = ("zn", "oracle", "closed_form", "claims", "audit", "cli")
-ORACLE_FUNCTIONS = (
-    "build",
-    "girth",
-    "diameter",
-    "is_connected",
-    "is_bipartite",
-    "partite_count",
-    "verify_complete_multipartite",
-    "max_clique",
-    "chromatic_number",
-    "find_hamiltonian_cycle",
-)
 RENDER_FORMATS = ("md", "json", "csv")
-
-
-def _per_layer() -> tuple[tuple[str, str, str], ...]:
-    out = []
-    for fn in ORACLE_FUNCTIONS:
-        out += [(f"oracle.{fn}.self_s", "s", "lower"), (f"oracle.{fn}.calls", "count", "lower")]
-    for fn in ("claims.degree_claim", "zn.is_prime", "zn.factorize", "zn.euler_phi", "zn.divisors"):
-        out += [(f"{fn}.self_s", "s", "lower"), (f"{fn}.calls", "count", "lower")]
-    out += [
-        ("zn.is_prime.repeat_ratio", "ratio", "lower"),
-        ("zn.factorize.hit_ratio", "ratio", "higher"),
-        ("zn.special_sets.self_s", "s", "lower"),
-        ("zn.order_decomposition.self_s", "s", "lower"),
-        ("closed_form.invariants.self_s", "s", "lower"),
-        ("audit.audit_n.self_s", "s", "lower"),
-        ("cli.main.self_s", "s", "lower"),
-    ]
-    for fmt in RENDER_FORMATS:
-        out += [
-            (f"audit.render_report.{fmt}.self_s", "s", "lower"),
-            (f"audit.render_report.{fmt}.bytes", "bytes", "lower"),
-        ]
-    out += [(f"{layer}.self_s", "s", "lower") for layer in LAYERS]
-    out += [
-        ("audit.sweep.parallel_efficiency", "ratio", "higher"),
-        ("sweep.parallel_moduli_per_s", "1/s", "higher"),
-        ("sweep.latency_ms_p98", "ms", "lower"),
-        ("trace.overhead_ratio", "ratio", "lower"),
-    ]
-    return tuple(out)
-
-
-# (name, unit, better): reported by every traced run. Metrics of a layer
-# a workload never reaches read 0, as do the sweep.* metrics outside
-# sweep-512.
-PER_LAYER = _per_layer()
 
 
 def p98(samples: list[float]) -> float:

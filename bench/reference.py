@@ -3,17 +3,16 @@
 On a shared host, other tenants slow every process by a varying share,
 over seconds and over minutes: on the host that defined this benchmark
 the same code ran up to twice as slow for minutes at a time. A run
-times this job about once a second between its inputs and scales its
-wall times by `NOMINAL_S / (lower quartile of the job times)`, so a
-reported time is the time on a host where the job takes `NOMINAL_S`. A change to indegraph
-cannot move the job, so the scaling keeps every difference between two
-commits; it only takes out the host's drift. The table prints the
-unscaled wall times too.
+times this job several times a second between its inputs, and scales
+each fastest-of-k time by `NOMINAL_S / (the job's time at the matching
+quantile)`, so a reported time is the time on a host where the job
+takes `NOMINAL_S`. A change to indegraph cannot move the job, so the
+scaling keeps every difference between two commits; it only takes out
+the host's drift. The table prints the unscaled wall times too.
 """
 
 from __future__ import annotations
 
-import statistics
 import time
 
 # About the job's time on the 2-core x86_64 host that defined the benchmark.
@@ -35,37 +34,28 @@ def job() -> int:
     return total + sum(len(v) for v in table.values())
 
 
-def probe() -> float:
-    """The fastest of three runs of the job, in seconds."""
-    best = float("inf")
-    for _ in range(3):
-        start = time.perf_counter()
-        job()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 class Speed:
-    """Job times gathered during one run, at most one probe per `EVERY_S`."""
-
-    EVERY_S = 1.0
+    """Single runs of the job, gathered during one run."""
 
     def __init__(self) -> None:
         self.samples: list[float] = []
-        self._last = float("-inf")
 
-    def tick(self) -> None:
-        if time.perf_counter() - self._last >= self.EVERY_S:
-            self.samples.append(probe())
-            self._last = time.perf_counter()
+    def sample(self) -> None:
+        start = time.perf_counter()
+        job()
+        self.samples.append(time.perf_counter() - start)
 
-    def scale(self) -> float:
-        """NOMINAL_S over the lower quartile of the job times.
+    def factor(self, k: int) -> float:
+        """Multiply the fastest of `k` wall times of one input by this to
+        get its time at nominal speed.
 
-        Like the workloads' fastest-of-passes times, a low quantile reads
-        the host when other tenants leave it alone; unlike the minimum,
-        one lucky sample cannot set it.
+        The fastest of k readings taken at scattered moments of a run lies,
+        in the median, at the share 1 - 0.5**(1/k) of the host's speeds
+        over the run, so the job's time at that quantile of its own samples
+        reads the host as the input's fastest time did.
         """
-        if len(self.samples) < 2:
-            return NOMINAL_S / self.samples[0]
-        return NOMINAL_S / statistics.quantiles(self.samples, n=4)[0]
+        times = sorted(self.samples)
+        pos = (1 - 0.5 ** (1 / k)) * (len(times) - 1)
+        lo = int(pos)
+        hi = min(lo + 1, len(times) - 1)
+        return NOMINAL_S / (times[lo] + (times[hi] - times[lo]) * (pos - lo))

@@ -5,9 +5,9 @@
 
 Run it from the root of a checkout. Each workload runs in a fresh
 interpreter (bench/workloads.py) against the checkout's own `src`. An
-untraced run (--trace 0) also starts several more interpreters that
-only import indegraph and audit n = 2, and reports their median start-up
-time as setup_s. A traced run (--trace 1) reports per-layer metrics.
+untraced run (--trace 0) reports end-to-end metrics, among them
+setup_s, the start-up of further interpreters that the workload starts
+between its inputs. A traced run (--trace 1) reports per-layer metrics.
 
 The output is a table of every metric with its unit and sample count,
 then, as the last line, one JSON object with the keys correct,
@@ -22,7 +22,6 @@ import json
 import os
 import platform
 import signal
-import statistics
 import subprocess
 import sys
 import time
@@ -32,10 +31,7 @@ import metrics
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
-# Start-up probes per untraced run, half before the workload, half after.
-SETUP_PROBES = 10
-SETUP_PROBE = "import time, indegraph; indegraph.audit_n(2); print(time.monotonic_ns())"
-# Every run must end within 180 s; keep a margin for start-up and output.
+# The whole command must end within 180 s; keep a margin for start-up and output.
 DEADLINE_S = 170
 
 
@@ -62,22 +58,6 @@ def _run(argv: list[str], timeout: float) -> str:
     return out
 
 
-def setup_seconds(count: int) -> list[float]:
-    """Start-up to a first audit, per fresh interpreter; one unmeasured warm-up first.
-
-    Unlike the workloads' times, these are not scaled by the reference
-    job: start-up is mostly process creation and imports, which the job
-    does not track.
-    """
-    samples = []
-    for i in range(count + 1):
-        start = time.monotonic_ns()
-        done = int(_run([sys.executable, "-c", SETUP_PROBE], timeout=60).split()[-1])
-        if i:
-            samples.append((done - start) / 1e9)
-    return samples
-
-
 def run_workload(name: str, seed: int, seconds: float, trace: int, spans: str | None,
                  deadline: float) -> dict:
     argv = [
@@ -86,17 +66,10 @@ def run_workload(name: str, seed: int, seconds: float, trace: int, spans: str | 
     ]
     if spans:
         argv += ["--spans", spans]
-    setup = [] if trace else setup_seconds(SETUP_PROBES // 2)
     lines = _run(argv, timeout=deadline - time.monotonic()).splitlines()
     if not lines:
         raise RuntimeError(f"{name} printed no result")
-    result = json.loads(lines[-1])
-    if not trace:
-        setup += setup_seconds(SETUP_PROBES - len(setup))
-        result["metrics"]["setup_s"] = {
-            "value": statistics.median(setup), "unit": "s", "samples": len(setup)
-        }
-    return result
+    return json.loads(lines[-1])
 
 
 def _commit() -> str:
@@ -155,10 +128,10 @@ def main(argv: list[str] | None = None) -> int:
     names = metrics.WORKLOADS if args.workload == "all" else (args.workload,)
     attempted = failed = 0
     line_metrics: dict = {}
+    deadline = time.monotonic() + DEADLINE_S
     for name in names:
         try:
-            result = run_workload(name, args.seed, args.seconds, args.trace, args.spans,
-                                  time.monotonic() + DEADLINE_S)
+            result = run_workload(name, args.seed, args.seconds, args.trace, args.spans, deadline)
         except (RuntimeError, ValueError) as exc:
             print(f"{name}: {exc}", file=sys.stderr)
             return 1

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import shutil
 import subprocess
 import sys
@@ -195,17 +194,6 @@ def test_render_spans_are_split_by_format():
 
 
 # -- contract ----------------------------------------------------------------------
-
-
-def test_benchmark_json_lists_the_metrics_the_code_reports():
-    spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    assert [w["name"] for w in spec["workloads"]] == list(metrics.WORKLOADS)
-    assert [tuple(m.values()) for m in spec["end_to_end"]] == [
-        tuple(m) for m in metrics.END_TO_END
-    ]
-    assert [tuple(m.values()) for m in spec["per_layer"]] == [
-        tuple(m) for m in metrics.PER_LAYER
-    ]
 
 
 def test_refuses_to_run_without_sources(tmp_path):

@@ -15,14 +15,17 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import resource
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+SRC = ROOT / "src"
+sys.path.insert(0, str(SRC))
 
 import indegraph  # noqa: E402
 from indegraph import audit, cli, zn  # noqa: E402
@@ -35,6 +38,11 @@ from spans import Tracer  # noqa: E402
 
 # The parallel pass always uses the process pool, whatever the core count.
 SWEEP_JOBS = 2
+# Between inputs, a run times the reference job at most once per TICK_S,
+# and an untraced run one fresh interpreter's start-up once per SETUP_TICK_S.
+TICK_S = 0.25
+SETUP_TICK_S = 1.0
+SETUP_PROBE = "import time, indegraph; indegraph.audit_n(2); print(time.monotonic_ns())"
 # Captured before any tracing, so the benchmark's own cache handling and
 # checks never show up as spans.
 FACTORIZE = zn.factorize
@@ -102,13 +110,25 @@ def timed(fn, *args, **kwargs):
 
 
 class Run:
-    """One invocation: its arguments, its ledger and its samples of host speed."""
+    """One invocation: its arguments, its ledger, and what it samples between inputs."""
 
     def __init__(self, seed: int, seconds: float, trace: bool, spans: str | None = None) -> None:
         self.seed, self.seconds, self.trace, self.spans = seed, seconds, trace, spans
         self.ledger = Ledger()
         self.speed = reference.Speed()
+        self.setup: list[float] = []
         self.began = time.perf_counter()
+        self._ticked = self._setup_ticked = float("-inf")
+
+    def tick(self) -> None:
+        """Between two inputs: sample the host's speed and start-up when due."""
+        now = time.perf_counter()
+        if now - self._ticked >= TICK_S:
+            self.speed.sample()
+            self._ticked = now
+        if not self.trace and now - self._setup_ticked >= SETUP_TICK_S:
+            self.setup.append(setup_seconds())
+            self._setup_ticked = time.perf_counter()
 
     def done(self, passes: int) -> bool:
         """Whether to stop after this many passes.
@@ -124,26 +144,28 @@ class Run:
         return passes >= 2 and spent + spent / passes > self.seconds
 
 
-class Pass:
-    """Wall times of one pass over a workload's inputs.
+def setup_seconds() -> float:
+    """Start-up of a fresh interpreter to `import indegraph` done and `audit_n(2)` returned."""
+    start = time.monotonic_ns()
+    child = subprocess.run(
+        [sys.executable, "-c", SETUP_PROBE], cwd=ROOT, env={**os.environ, "PYTHONPATH": str(SRC)},
+        stdout=subprocess.PIPE, text=True, check=True, timeout=60,
+    )
+    return (int(child.stdout.split()[-1]) - start) / 1e9
 
-    Between inputs it lets the run's reference job sample the host's
-    speed, at most once a second.
-    """
+
+class Pass:
+    """Wall times of one pass over a workload's inputs; the run ticks before each input."""
 
     def __init__(self, run: Run) -> None:
         self.times: list[float] = []
-        self.speed = run.speed
+        self.run = run
 
     def timed(self, fn, *args, **kwargs):
-        self.speed.tick()
+        self.run.tick()
         out, dt, err = timed(fn, *args, **kwargs)
         self.times.append(dt)
         return out, err
-
-    def end(self) -> Pass:
-        self.speed.tick()
-        return self
 
 
 def fastest(passes: list[Pass]) -> list[float]:
@@ -178,18 +200,35 @@ def _metric(value: float, unit: str, samples: int, wall: float | None = None) ->
     return out
 
 
-def _untraced_result(run: Run, per_n: list[float], passes: int, extra_s: float = 0.0) -> dict:
-    """Throughput and median latency from each modulus's fastest wall time.
+def _untraced_result(run: Run, passes: list[Pass], figures) -> dict:
+    """`figures(per_input)` -> {metric: (value, samples)}, from each input's
+    fastest time scaled to nominal host speed; `wall` is the same unscaled.
+
+    Also setup_s, the fastest start-up sampled during the run, scaled the
+    same way: like the fastest-of-passes times, it reads the host when
+    other tenants leave it alone, and the samples span the whole run.
+    """
+    units = {name: unit for name, unit, *_ in metrics.END_TO_END + metrics.SWEEP_ONLY}
+    per_input = fastest(passes)
+    factor = run.speed.factor(len(passes))
+    nominal = figures([t * factor for t in per_input])
+    wall = figures(per_input)
+    out = {m: _metric(v, units[m], n, wall[m][0]) for m, (v, n) in nominal.items()}
+    setup = min(run.setup)
+    out["setup_s"] = _metric(setup * run.speed.factor(len(run.setup)), "s", len(run.setup), setup)
+    return out
+
+
+def _throughput(per_n: list[float], passes: int, extra_s: float = 0.0, audits: int = 1) -> dict:
+    """moduli_per_s and latency_ms_p50 from per-modulus times.
 
     `extra_s` is time the throughput also pays for, such as sweep-512's
-    renders. Values are scaled to nominal host speed; `wall` is unscaled.
+    parallel sweep and renders; `audits` is how often each modulus is
+    processed in that time.
     """
-    scale = run.speed.scale()
-    rate = len(per_n) / (sum(per_n) + extra_s)
-    p50 = statistics.median(per_n) * 1e3
     return {
-        "moduli_per_s": _metric(rate / scale, "1/s", passes, rate),
-        "latency_ms_p50": _metric(p50 * scale, "ms", len(per_n), p50),
+        "moduli_per_s": (audits * len(per_n) / (sum(per_n) + extra_s), passes),
+        "latency_ms_p50": (statistics.median(per_n) * 1e3, len(per_n)),
     }
 
 
@@ -197,18 +236,22 @@ def _untraced_result(run: Run, per_n: list[float], passes: int, extra_s: float =
 
 
 def sweep_pass(run, ns, cfg, report=None, digests=checks.SWEEP_DIGESTS,
-               first=checks.SWEEP_FIRST_COUNTEREXAMPLES):
+               first=checks.SWEEP_FIRST_COUNTEREXAMPLES, order=None):
     """Serial audit_n per n, the parallel sweep unless a report is given, the renders.
 
-    The inputs of the pass, in order: every n, the parallel sweep (when
-    it runs), and one render per format.
+    The serial audits run in `order`, a permutation of the indices of
+    `ns` (ascending by default). The inputs of the pass, as its times
+    keep them: every n in ascending order, the parallel sweep (when it
+    runs), and one render per format.
     """
     ledger = run.ledger
     p = Pass(run)
-    serial = []
-    for n in ns:
-        verdicts, err = p.timed(audit.audit_n, n, cfg)
-        serial.append((None if verdicts is None else tuple(verdicts), err))
+    order = range(len(ns)) if order is None else order
+    serial = {}
+    for i in order:
+        verdicts, err = p.timed(audit.audit_n, ns[i], cfg)
+        serial[i] = (None if verdicts is None else tuple(verdicts), err)
+    p.times = [t for _, t in sorted(zip(order, p.times))]
     report_error = None
     if report is None:
         report, report_error = p.timed(audit.sweep, ns[0], ns[-1], cfg, jobs=SWEEP_JOBS)
@@ -223,7 +266,7 @@ def sweep_pass(run, ns, cfg, report=None, digests=checks.SWEEP_DIGESTS,
     for fmt in metrics.RENDER_FORMATS:
         text, reason = p.timed(audit.render_report, report, fmt)
         ledger.record(f"render {fmt}", reason or checks.check_render(fmt, text, digests))
-    return p.end(), report
+    return p, report
 
 
 def sweep_512(run: Run) -> dict:
@@ -232,38 +275,43 @@ def sweep_512(run: Run) -> dict:
     ns = range(lo, hi + 1)
     cfg = audit.AuditConfig()
     meter = CacheMeter()
+    k = len(ns)
+    # A fresh order per pass: the n of one cost would otherwise run
+    # together, and each percentile would read a second or so of the host.
+    rng = gen.SplitMix64(run.seed)
     passes = []
     while True:
         meter.cold()
-        p, report = sweep_pass(run, ns, cfg)
+        p, report = sweep_pass(run, ns, cfg, order=rng.shuffled(list(range(k))))
         passes.append(p)
         if run.done(len(passes)):
             break
-    k = len(ns)
 
     def split(per_input):
         """Per-n times, the parallel sweep, the renders together."""
         return per_input[:k], per_input[k], sum(per_input[k + 1 :])
 
-    per_n, t_parallel, t_render = split(fastest(passes))
-    scale = run.speed.scale()
-    parallel_rate = k / (t_parallel + t_render)
-    p98 = metrics.p98(per_n) * 1e3
-    if not run.trace:
-        result = _untraced_result(run, per_n, len(passes), t_render)
-        result["parallel_moduli_per_s"] = _metric(
-            parallel_rate / scale, "1/s", len(passes), parallel_rate
-        )
-        result["latency_ms_p98"] = _metric(p98 * scale, "ms", k, p98)
-        return result
+    def figures(per_input):
+        per_n, t_parallel, t_render = split(per_input)
+        # Each n is audited twice, serially and in the pool, so
+        # moduli_per_s pays for both paths and the renders.
+        out = _throughput(per_n, len(passes), t_parallel + t_render, audits=2)
+        out["parallel_moduli_per_s"] = (k / (t_parallel + t_render), len(passes))
+        out["latency_ms_p98"] = (metrics.p98(per_n) * 1e3, k)
+        return out
 
+    if not run.trace:
+        return _untraced_result(run, passes, figures)
+
+    per_n, t_parallel, t_render = split(fastest(passes))
+    nominal = figures([t * run.speed.factor(len(passes)) for t in fastest(passes)])
     with tracing(meter) as tracer:
         traced, _ = sweep_pass(run, ns, cfg, report)
     return _layer_result(run, tracer, {
         "zn.factorize.hit_ratio": meter.hit_ratio(),
         "audit.sweep.parallel_efficiency": sum(per_n) / (SWEEP_JOBS * t_parallel),
-        "sweep.parallel_moduli_per_s": parallel_rate / scale,
-        "sweep.latency_ms_p98": p98 * scale,
+        "sweep.parallel_moduli_per_s": nominal["parallel_moduli_per_s"][0],
+        "sweep.latency_ms_p98": nominal["latency_ms_p98"][0],
         "trace.overhead_ratio": sum(traced.times) / (sum(per_n) + t_render),
     })
 
@@ -286,7 +334,7 @@ def oracle_mid_pass(run, moduli, references) -> Pass:
                 references[m.n] = audit.audit_n(m.n, cfg)
             err = checks.check_statuses(verdicts, references[m.n])
         ledger.record(f"audit_n({m.n})", err)
-    return p.end()
+    return p
 
 
 def oracle_mid(run: Run) -> dict:
@@ -300,7 +348,7 @@ def oracle_mid(run: Run) -> dict:
         if run.done(len(passes)):
             break
     if not run.trace:
-        return _untraced_result(run, fastest(passes), len(passes))
+        return _untraced_result(run, passes, lambda per_n: _throughput(per_n, len(passes)))
     with tracing(meter) as tracer:
         traced = oracle_mid_pass(run, moduli, references)
     return _layer_result(run, tracer, {
@@ -329,7 +377,7 @@ def closed_form_pass(run: Run, meter: CacheMeter, block: list[gen.Modulus]) -> P
     p = Pass(run)
     for m in block:
         factors = m.factor_dict()
-        p.speed.tick()
+        run.tick()
         meter.cold()
         start = time.perf_counter()
         code, text, err = _cli(["info", str(m.n), "--json"])
@@ -344,7 +392,7 @@ def closed_form_pass(run: Run, meter: CacheMeter, block: list[gen.Modulus]) -> P
         code, text, err = _cli(["audit", str(m.n)])
         p.times.append(t_info + time.perf_counter() - start)
         ledger.record(f"audit {m.n}", err or checks.check_audit(factors, code, text))
-    return p.end()
+    return p
 
 
 def closed_form_large(run: Run) -> dict:
@@ -356,7 +404,7 @@ def closed_form_large(run: Run) -> dict:
         if run.done(len(passes)):
             break
     if not run.trace:
-        return _untraced_result(run, fastest(passes), len(passes))
+        return _untraced_result(run, passes, lambda per_n: _throughput(per_n, len(passes)))
     with tracing(meter) as tracer:
         traced = closed_form_pass(run, meter, moduli)
     return _layer_result(run, tracer, {
@@ -398,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--spans", default=None, help="traced runs: write every span here as CSV")
     args = parser.parse_args(argv)
 
-    src = (ROOT / "src").resolve()
+    src = SRC.resolve()
     if Path(indegraph.__file__).resolve().parent.parent != src:
         print(f"indegraph imported from {indegraph.__file__}, not {src}", file=sys.stderr)
         return 2
