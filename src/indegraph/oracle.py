@@ -139,14 +139,32 @@ class IndependentGraph:
     def girth(self) -> int | float:
         """Length of a shortest cycle, INFINITE when the graph is a forest.
 
-        Per-source BFS: every non-tree edge (u, w) seen from source s
-        closes a walk of length dist[u] + dist[w] + 1 through s, which
-        never undercuts the girth and hits it exactly for sources on a
-        shortest cycle. Sources stop as soon as the floor of 3 is hit.
+        Three generic steps, each reading only the adjacency rows:
+
+        1. Forest test: the graph is acyclic exactly when it has
+           n - (component count) edges. One reachability sweep per
+           component, O(n) row unions in all.
+        2. Triangle test: the girth is 3 exactly when some edge (u, w)
+           has a common neighbor, i.e. rows[u] & rows[w] != 0. At most
+           one row intersection per edge, and it stops at the first hit.
+        3. Per-source BFS, run only on triangle-free graphs: every
+           non-tree edge (u, w) seen from source s closes a walk of
+           length dist[u] + dist[w] + 1 through s, which never undercuts
+           the girth and hits it exactly for sources on a shortest
+           cycle. A source stops once 2 * dist reaches the best cycle
+           so far, and the search stops at the floor of 4. O(n * m) at
+           worst for m edges.
+
+        Itai & Rodeh (1978), "Finding a minimum circuit in a graph".
         """
-        n = self.n
+        n, rows = self.n, self.rows
         if self.edge_count() == n - self._component_count():
             return INFINITE
+        for u in range(n):
+            row = rows[u]
+            for w in _iter_bits(row >> (u + 1)):
+                if row & rows[u + 1 + w]:
+                    return 3
         best: int | float = inf
         for s in range(n):
             dist = [-1] * n
@@ -160,7 +178,7 @@ class IndependentGraph:
                 du = dist[u]
                 if 2 * du >= best:
                     break
-                for w in _iter_bits(self.rows[u]):
+                for w in _iter_bits(rows[u]):
                     if dist[w] < 0:
                         dist[w] = du + 1
                         parent[w] = u
@@ -169,7 +187,7 @@ class IndependentGraph:
                         candidate = du + dist[w] + 1
                         if candidate < best:
                             best = candidate
-            if best == 3:
+            if best == 4:
                 break
         return best
 

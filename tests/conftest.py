@@ -85,19 +85,33 @@ def _bfs_distance(adj: list[list[bool]], source: int, target: int) -> float:
     return inf
 
 
-def naive_girth(n: int) -> float:
+def _girth_by_edge_deletion(adj: list[list[bool]]) -> float:
     """Shortest cycle through each edge: remove it, measure the detour.
 
     For an edge (u, v), the shortest cycle using it has length
     1 + dist(u, v) in the graph without that edge.
     """
-    adj = _adjacency(n)
+    n = len(adj)
     best = inf
-    for u, v in naive_edges(n):
-        adj[u][v] = adj[v][u] = False
-        best = min(best, _bfs_distance(adj, u, v) + 1)
-        adj[u][v] = adj[v][u] = True
+    for u in range(n):
+        for v in range(u + 1, n):
+            if adj[u][v]:
+                adj[u][v] = adj[v][u] = False
+                best = min(best, _bfs_distance(adj, u, v) + 1)
+                adj[u][v] = adj[v][u] = True
     return best
+
+
+def naive_girth(n: int) -> float:
+    return _girth_by_edge_deletion(_adjacency(n))
+
+
+def naive_girth_of_rows(rows: tuple[int, ...]) -> float:
+    """Girth of any simple graph given as neighbor bitmasks."""
+    n = len(rows)
+    return _girth_by_edge_deletion(
+        [[bool(rows[a] >> b & 1) for b in range(n)] for a in range(n)]
+    )
 
 
 def naive_bipartite(n: int) -> bool:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from indegraph import closed_form, oracle, zn
-from indegraph.audit import Status, TheoremId, sweep
+from indegraph.audit import Status, TheoremId, audit_n, sweep
 
 GOLDEN = Path(__file__).parent / "golden"
 JOBS = min(8, os.cpu_count() or 1)
@@ -162,3 +162,13 @@ def test_criterion_8_closed_form_speed_and_typed_capacity():
         pass
     report(8, "closed-form invariants for n=10^9+7 under 100ms; oracle build beyond "
               "the limit raises the typed capacity error", ok, elapsed)
+
+
+def test_criterion_9_oracle_audit_at_build_limit():
+    start = time.perf_counter()
+    verdicts = audit_n(20000)
+    elapsed = time.perf_counter() - start
+    girth = next(v for v in verdicts if v.theorem is TheoremId.T2_15)
+    ok = elapsed < 10.0 and girth.ground_truth == "ORACLE"
+    report(9, "audit_n(20000) at the default limits under 10s, its girth verdict "
+              "from the oracle", ok, elapsed)

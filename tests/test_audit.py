@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from indegraph import closed_form, oracle
 from indegraph.audit import (
     AuditConfig,
     Status,
@@ -127,6 +128,27 @@ def test_ground_truth_tiers():
     large = verdict(audit_n(50, config), TheoremId.T2_10)
     assert large.ground_truth == "CLOSED_FORM"
     assert large.status is Status.MISMATCH  # formula still audited
+
+
+# Highly composite, prime powers, 2p, pq, a prime, and the build limit.
+STRUCTURED_UP_TO_BUILD_LIMIT = (
+    5040, 10080, 2**14, 3**9, 139**2, 2 * 9973, 101 * 197, 19997, 20000,
+)
+
+
+@pytest.mark.parametrize("n", STRUCTURED_UP_TO_BUILD_LIMIT)
+def test_closed_form_tier_matches_oracle_tier_up_to_build_limit(n):
+    assert n <= oracle.DEFAULT_BUILD_LIMIT
+    below_n = AuditConfig(oracle_build_limit=n - 1, exact_search_limit=n - 1,
+                          hamiltonian_limit=n - 1)
+    by_oracle = audit_n(n)
+    by_closed_form = audit_n(n, below_n)
+    assert verdict(by_oracle, TheoremId.T2_15).ground_truth == "ORACLE"
+    assert {v.ground_truth for v in by_closed_form} == {"CLOSED_FORM"}
+    assert [(v.theorem, v.status) for v in by_oracle] == [
+        (v.theorem, v.status) for v in by_closed_form
+    ]
+    assert oracle.build(n).girth() == closed_form.girth(n)
 
 
 def test_fallback_disabled_yields_skips():

@@ -14,6 +14,7 @@ from conftest import (
     naive_diameter,
     naive_edges,
     naive_girth,
+    naive_girth_of_rows,
     naive_hamiltonian,
 )
 
@@ -78,6 +79,65 @@ def test_girth_small_values():
 @pytest.mark.parametrize("n", range(2, 41))
 def test_girth_matches_edge_deletion_bfs(n):
     assert oracle.build(n).girth() == naive_girth(n)
+
+
+def graph_of(n, edges):
+    """A hand-made graph. It has no order labels: girth reads only rows."""
+    rows = [0] * n
+    for a, b in edges:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    return oracle.IndependentGraph(n, tuple(rows), ())
+
+
+def cycle(k, start=0):
+    return [(start + i, start + (i + 1) % k) for i in range(k)]
+
+
+PETERSEN = (
+    cycle(5)
+    + [(i, i + 5) for i in range(5)]
+    + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+)
+TREE = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)]
+
+# Every composite n gives a triangle and every prime n a star, so only
+# hand-made graphs reach the per-source BFS of girth().
+GENERIC_GIRTHS = [
+    *(pytest.param(k, cycle(k), k, id=f"C{k}") for k in range(3, 9)),
+    pytest.param(6, [(a, b) for a in range(3) for b in range(3, 6)], 4, id="K33"),
+    pytest.param(10, PETERSEN, 5, id="petersen"),
+    pytest.param(7, TREE, INFINITE, id="tree"),
+    pytest.param(13, TREE + cycle(6, start=7), 6, id="tree+C6"),
+    pytest.param(12, cycle(5) + cycle(7, start=5), 5, id="C5+C7"),
+    pytest.param(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)], 3, id="triangle-off-0"),
+]
+
+
+@pytest.mark.parametrize("n, edges, expected", GENERIC_GIRTHS)
+def test_girth_of_generic_graphs(n, edges, expected):
+    graph = graph_of(n, edges)
+    assert graph.girth() == expected
+    assert naive_girth_of_rows(graph.rows) == expected
+
+
+@st.composite
+def random_graphs(draw, triangle_free=False):
+    """Random simple graphs; triangle_free drops each edge closing a triangle."""
+    n = draw(st.integers(min_value=1, max_value=12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    rows = [0] * n
+    for (a, b), chosen in zip(pairs, keep):
+        if chosen and not (triangle_free and rows[a] & rows[b]):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return oracle.IndependentGraph(n, tuple(rows), ())
+
+
+@given(st.one_of(random_graphs(), random_graphs(triangle_free=True)))
+def test_girth_of_random_graphs_matches_edge_deletion_bfs(graph):
+    assert graph.girth() == naive_girth_of_rows(graph.rows)
 
 
 @pytest.mark.parametrize("n", range(2, 41))
