@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config_from(args)
         return _HANDLERS[args.command](args, config)
-    except oracle.CapacityError as exc:
+    except zn.CapacityError as exc:
         print(f"indegraph: capacity: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:

@@ -18,15 +18,11 @@ from math import gcd, inf
 from typing import Iterator
 
 from indegraph.invariants import INFINITE, InvariantSet
-from indegraph.zn import OrderDecomposition, check_modulus
+from indegraph.zn import CapacityError, OrderDecomposition, check_modulus
 
 DEFAULT_BUILD_LIMIT = 20_000
 DEFAULT_EXACT_SEARCH_LIMIT = 64
 DEFAULT_HAMILTONIAN_LIMIT = 24
-
-
-class CapacityError(Exception):
-    """A requested computation exceeds its configured size limit."""
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -96,13 +92,18 @@ class IndependentGraph:
             visited |= frontier
         return visited
 
+    @cached_property
+    def _component_of_0(self) -> int:
+        """Vertices reachable from 0, shared by is_connected and girth."""
+        return self._reach(0)
+
     def is_connected(self) -> bool:
-        return self._reach(0) == self._full()
+        return self._component_of_0 == self._full()
 
     def _component_count(self) -> int:
         full = self._full()
-        seen = 0
-        count = 0
+        seen = self._component_of_0
+        count = 1
         while seen != full:
             rest = full & ~seen
             start = (rest & -rest).bit_length() - 1

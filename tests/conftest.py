@@ -21,6 +21,32 @@ def naive_phi(n: int) -> int:
     return count
 
 
+def naive_factorize(n: int) -> dict[int, int]:
+    """Trial division by every integer up to the square root."""
+    factors: dict[int, int] = {}
+    p = 2
+    while p * p <= n:
+        while n % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def naive_primes_below(limit: int) -> list[int]:
+    """Sieve of Eratosthenes."""
+    composite = [False] * limit
+    primes = []
+    for k in range(2, limit):
+        if not composite[k]:
+            primes.append(k)
+            for multiple in range(k * k, limit, k):
+                composite[multiple] = True
+    return primes
+
+
 def naive_order(a: int, n: int) -> int:
     k = 1
     while (k * a) % n != 0:

@@ -172,3 +172,24 @@ def test_criterion_9_oracle_audit_at_build_limit():
     ok = elapsed < 10.0 and girth.ground_truth == "ORACLE"
     report(9, "audit_n(20000) at the default limits under 10s, its girth verdict "
               "from the oracle", ok, elapsed)
+
+
+def test_criterion_10_number_theory_cannot_hang():
+    cases = (2**61 - 1, (10**9 + 7) * (10**9 + 9), 999_999_999_999_999_989, 10**18)
+    closed_form.invariants(2)  # warm imports off the clock
+    times = []
+    for n in cases:
+        zn.factorize.cache_clear()
+        start = time.perf_counter()
+        closed_form.invariants(n)
+        times.append(time.perf_counter() - start)
+    ok = max(times) < 0.1
+    refused = subprocess.run(
+        [sys.executable, "-m", "indegraph", "info", str(2 * (2**89 - 1))],
+        capture_output=True, text=True,
+    )
+    ok = ok and refused.returncode == 1
+    ok = ok and refused.stderr.startswith("indegraph: capacity:")
+    report(10, "closed-form invariants under 100ms each from a cold cache for 2^61-1, "
+               "(10^9+7)(10^9+9), 999999999999999989 and 10^18; info on "
+               "2(2^89-1) exits 1 with a capacity error", ok, max(times))

@@ -121,6 +121,23 @@ def test_girth_of_generic_graphs(n, edges, expected):
     assert naive_girth_of_rows(graph.rows) == expected
 
 
+@pytest.mark.parametrize("n, edges, expected", [
+    pytest.param(13, TREE + cycle(6, start=7), 6, id="tree+C6"),
+    pytest.param(12, cycle(5) + cycle(7, start=5), 5, id="C5+C7"),
+    pytest.param(6, cycle(4, start=1), 4, id="isolated-0+C4"),
+    pytest.param(5, [(0, 1), (2, 3), (3, 4)], INFINITE, id="forest"),
+])
+@pytest.mark.parametrize("girth_first", [False, True])
+def test_disconnected_graphs(n, edges, expected, girth_first):
+    # Both queries share one reachability sweep from vertex 0; the order
+    # they run in must not matter.
+    graph = graph_of(n, edges)
+    if girth_first:
+        assert graph.girth() == expected
+    assert graph.is_connected() is False
+    assert graph.girth() == expected
+
+
 @st.composite
 def random_graphs(draw, triangle_free=False):
     """Random simple graphs; triangle_free drops each edge closing a triangle."""

@@ -1,11 +1,25 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from indegraph import zn
+import indegraph
+from indegraph import oracle, zn
 
-from conftest import naive_order, naive_phi
+from conftest import naive_factorize, naive_order, naive_phi, naive_primes_below
 
 moduli = st.integers(min_value=2, max_value=400)
+
+# Primes checked by trial division; the last two are 2**61 - 1 and the
+# largest prime below 10**18.
+KNOWN_PRIMES = (
+    2, 3, 5, 7, 13, 97, 997, 1009, 65537, 1_000_003, 2_147_483_647,
+    1_000_000_007, 1_000_000_009, 4_294_967_291, 999_999_999_989,
+    1_000_000_000_039, 2**61 - 1, 999_999_999_999_999_989,
+)
+# Strong pseudoprimes to the first 12 and the first 13 prime bases
+# (Sorenson & Webster 2015), with their factors.
+PSI_12 = (318_665_857_834_031_151_167_461, 399_165_290_221, 798_330_580_441)
+PSI_13 = (3_317_044_064_679_887_385_961_981, 1_287_836_182_261, 2_575_672_364_521)
+MERSENNE_89 = 2**89 - 1  # prime, above the Miller-Rabin limit
 
 
 def test_check_modulus_rejects_small():
@@ -30,6 +44,96 @@ def test_factorize_reconstructs(n):
         assert zn.is_prime(p)
         product *= p**e
     assert product == n
+
+
+def test_is_prime_matches_sieve_below_100000():
+    primes = set(naive_primes_below(100_000))
+    assert [n for n in range(100_000) if zn.is_prime(n)] == sorted(primes)
+
+
+def test_factorize_matches_trial_division_to_200000():
+    try:
+        for n in range(1, 200_001):
+            assert zn.factorize(n) == naive_factorize(n), n
+    finally:
+        zn.factorize.cache_clear()
+
+
+@st.composite
+def known_factorizations(draw):
+    """A product of known prime powers below 2 * 10**18, with its factors."""
+    factors: dict[int, int] = {}
+    n = 1
+    for p, e in draw(st.lists(
+        st.tuples(st.sampled_from(KNOWN_PRIMES), st.integers(min_value=1, max_value=6)),
+        min_size=1, max_size=8,
+    )):
+        while e and n * p**e > 2 * 10**18:
+            e -= 1
+        if e:
+            factors[p] = factors.get(p, 0) + e
+            n *= p**e
+    return n, factors
+
+
+@given(known_factorizations())
+def test_factorize_products_of_known_primes(case):
+    n, factors = case
+    zn.factorize.cache_clear()
+    assert zn.factorize(n) == dict(sorted(factors.items()))
+    assert zn.is_prime(n) == (list(factors.values()) == [1])
+
+
+@pytest.mark.parametrize("n, factors", [
+    pytest.param(561, {3: 1, 11: 1, 17: 1}, id="carmichael-561"),
+    pytest.param(41041, {7: 1, 11: 1, 13: 1, 41: 1}, id="carmichael-41041"),
+    pytest.param(825265, {5: 1, 7: 1, 17: 1, 19: 1, 73: 1}, id="carmichael-825265"),
+    pytest.param(2047, {23: 1, 89: 1}, id="spsp2-2047"),
+    pytest.param(3215031751, {151: 1, 751: 1, 28351: 1}, id="spsp2-3215031751"),
+    pytest.param(3825123056546413051, {149491: 1, 747451: 1, 34233211: 1},
+                 id="spsp-bases-to-23"),
+    pytest.param((2**31 - 1) ** 2, {2**31 - 1: 2}, id="mersenne-31-squared"),
+    pytest.param(2**61 - 1, {2**61 - 1: 1}, id="mersenne-61"),
+    pytest.param(PSI_12[0], {PSI_12[1]: 1, PSI_12[2]: 1}, id="spsp-bases-to-37"),
+    pytest.param(2**100 * 3, {2: 100, 3: 1}, id="smooth-above-the-limit"),
+])
+def test_factorize_hard_cases(n, factors):
+    zn.factorize.cache_clear()
+    assert zn.factorize(n) == factors
+    assert zn.is_prime(n) == (list(factors.values()) == [1])
+
+
+def test_factorize_keys_ascend():
+    n = 999_999_999_989 * 2**3 * 1_000_003 * 97**2 * 65537
+    zn.factorize.cache_clear()
+    keys = list(zn.factorize(n))
+    assert keys == sorted(keys) == [2, 97, 65537, 1_000_003, 999_999_999_989]
+
+
+@pytest.mark.parametrize("n, cofactor", [
+    pytest.param(MERSENNE_89, MERSENNE_89, id="prime"),
+    pytest.param(6 * MERSENNE_89, MERSENNE_89, id="small-times-prime"),
+    pytest.param(PSI_13[0], PSI_13[0], id="spsp-bases-to-41"),
+    pytest.param(1009**9, 1009**9, id="prime-power"),
+])
+def test_cofactor_at_or_above_the_miller_rabin_limit_is_refused(n, cofactor):
+    assert cofactor >= zn.MILLER_RABIN_LIMIT
+    zn.factorize.cache_clear()
+    with pytest.raises(zn.CapacityError):
+        zn.factorize(n)
+    with pytest.raises(zn.CapacityError):
+        zn.is_prime(cofactor)
+
+
+def test_rho_over_its_budget_is_refused():
+    with pytest.raises(zn.CapacityError, match="within 100 steps"):
+        zn._rho((10**9 + 7) * (10**9 + 9), budget=100)
+    factor, steps = zn._rho((10**9 + 7) * (10**9 + 9), zn.RHO_BUDGET)
+    assert factor in (10**9 + 7, 10**9 + 9) and 0 < steps <= zn.RHO_BUDGET
+
+
+def test_capacity_error_is_one_class():
+    assert zn.CapacityError is oracle.CapacityError is indegraph.CapacityError
 
 
 def test_phi_small_table():
