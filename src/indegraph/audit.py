@@ -156,7 +156,8 @@ class _Observed:
     ham_mode: str | None
 
 
-def _star_profile(n: int, counts: Counter[int]) -> bool:
+def is_star_profile(n: int, counts: Counter[int]) -> bool:
+    """Whether {degree: count} is the degree profile of the star on n vertices."""
     if n == 2:
         return counts == Counter({1: 2})
     return counts == Counter({n - 1: 1, 1: n - 1})
@@ -180,7 +181,7 @@ def _observe(n: int, config: AuditConfig) -> _Observed:
             diameter=graph.diameter(),
             bipartite=graph.is_bipartite(),
             complete=edge_count == n * (n - 1) // 2,
-            star=_star_profile(n, counts),
+            star=is_star_profile(n, counts),
             partite_count=graph.partite_count(),
             multipartite_ok=oracle.verify_complete_multipartite(
                 graph, zn.order_decomposition(n)
@@ -191,12 +192,10 @@ def _observe(n: int, config: AuditConfig) -> _Observed:
         )
     else:
         graph = None
-        divs = zn.divisors(n)
+        parts = zn.divisor_phis(n)
         involutions = 2 if n % 2 == 0 else 1
         # (n // d) % n has order exactly d; the modulus folds d = 1 onto 0.
-        items = tuple(
-            ((n // d) % n, d, n - zn.euler_phi(d), zn.euler_phi(d)) for d in divs
-        )
+        items = tuple(((n // d) % n, d, n - size, size) for d, size in parts)
         counts = Counter()
         for _, _, deg, size in items:
             counts[deg] += size
@@ -204,14 +203,14 @@ def _observe(n: int, config: AuditConfig) -> _Observed:
             base_mode=CLOSED_FORM,
             involutions=involutions,
             neither=0 if n == 2 else n - zn.euler_phi(n) - involutions,
-            edge_count=closed_form.edge_count(n),
+            edge_count=closed_form.edge_count_of_parts(n, parts),
             connected=True,
             girth=closed_form.girth(n),
             diameter=closed_form.diameter(n),
             bipartite=closed_form.is_bipartite(n),
             complete=closed_form.is_complete(n),
-            star=_star_profile(n, counts),
-            partite_count=len(divs),
+            star=is_star_profile(n, counts),
+            partite_count=len(parts),
             multipartite_ok=True,
             degree_items=items,
         )
@@ -345,8 +344,13 @@ def _audit_degrees(n: int, obs: _Observed) -> TheoremVerdict:
     first_bad: tuple[int, int, int] | None = None
     first_claim: claims.DegreeClaim | None = None
     deviating = 0
+    # The claimed degree depends only on n and the residue's kind.
+    by_kind: dict[str, claims.DegreeClaim] = {}
     for vertex, order, deg, size in obs.degree_items:
-        claim = claims.degree_claim(vertex, n)
+        kind = zn.classify_residue(vertex, n)
+        claim = by_kind.get(kind)
+        if claim is None:
+            claim = by_kind[kind] = claims.degree_claim(vertex, n)
         if not claim.matches(deg):
             deviating += size
             if first_bad is None:
@@ -428,14 +432,11 @@ def _profile_str(obs: _Observed) -> str:
 def _audit_star(n: int, obs: _Observed) -> TheoremVerdict:
     claimed = "star" if zn.is_prime(n) else "not star"
     observed = "star" if obs.star else "not star"
+    ok = claimed == observed
+    # The profile is only rendered when it becomes the witness.
+    witness = None if ok else f"degree profile {_profile_str(obs)}"
     return _compare(
-        TheoremId.T2_14,
-        n,
-        claimed,
-        observed,
-        claimed == observed,
-        f"degree profile {_profile_str(obs)}",
-        obs.base_mode,
+        TheoremId.T2_14, n, claimed, observed, ok, witness, obs.base_mode
     )
 
 
@@ -546,7 +547,7 @@ def _audit_bipartite_composite(n: int, obs: _Observed) -> TheoremVerdict:
 
 
 def _audit_multipartite(n: int, obs: _Observed) -> TheoremVerdict:
-    parts = len(zn.divisors(n))
+    parts = zn.divisor_count(n)
     claimed = f"complete {parts}-partite on the order classes"
     if obs.multipartite_ok:
         observed = f"complete {obs.partite_count}-partite"

@@ -14,7 +14,7 @@ from indegraph.invariants import INFINITE
 from indegraph.zn import (
     check_modulus,
     classify_residue,
-    divisors,
+    divisor_count,
     euler_phi,
     is_prime,
     INVOLUTION,
@@ -149,6 +149,6 @@ def structural(n: int) -> StructuralClaims:
         girth=INFINITE if prime else 3,
         diameter_bound=2,
         bipartite=prime,
-        partite_count=len(divisors(n)),
+        partite_count=divisor_count(n),
         hamiltonian=hamiltonian,
     )

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from indegraph import closed_form, oracle, zn
-from indegraph.audit import AuditConfig, render_report, sweep
+from indegraph.audit import AuditConfig, is_star_profile, render_report, sweep
 from indegraph.invariants import InvariantSet, length_str
 
 EXIT_OK = 0
@@ -99,12 +99,6 @@ def _profile(counts: tuple[tuple[int, int], ...]) -> str:
     return " ".join(f"{deg}x{cnt}" for deg, cnt in counts)
 
 
-def _is_star_profile(n: int, counts: Counter[int]) -> bool:
-    if n == 2:
-        return counts == Counter({1: 2})
-    return counts == Counter({n - 1: 1, 1: n - 1})
-
-
 def _info_rows(n: int, inv: InvariantSet) -> list[tuple[str, object]]:
     return [
         ("vertices", n),
@@ -140,7 +134,7 @@ def _oracle_rows(
         "degrees": ground.degree_counts,
         "connected": ground.connected,
         "complete": ground.edge_count == n * (n - 1) // 2,
-        "star": _is_star_profile(n, counts),
+        "star": is_star_profile(n, counts),
         "bipartite": ground.bipartite,
         "girth": ground.girth,
         "diameter": ground.diameter,

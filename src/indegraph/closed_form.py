@@ -2,7 +2,8 @@
 
 The graph is complete multipartite with one part of size phi(d) per
 divisor d of n, so every invariant reduces to arithmetic over the
-divisors and runs in divisor-enumeration time for any n. The test suite
+(d, phi(d)) table that zn.divisor_phis builds from one factorization
+of n, and runs in divisor-enumeration time for any n. The test suite
 validates each formula against the brute-force oracle; where the
 audited claims are wrong (edge count, clique, chromatic, blanket
 Hamiltonicity), the corrected formulas live here.
@@ -17,7 +18,8 @@ from indegraph.invariants import INFINITE, InvariantSet
 from indegraph.zn import (
     check_modulus,
     check_residue,
-    divisors,
+    divisor_count,
+    divisor_phis,
     element_order,
     euler_phi,
     is_prime,
@@ -34,7 +36,7 @@ class PartSizeProfile:
 
 def part_sizes(n: int) -> PartSizeProfile:
     check_modulus(n)
-    return PartSizeProfile(n, tuple(sorted(euler_phi(d) for d in divisors(n))))
+    return PartSizeProfile(n, tuple(sorted(phi for _, phi in divisor_phis(n))))
 
 
 def degree(a: int, n: int) -> int:
@@ -46,9 +48,15 @@ def degree(a: int, n: int) -> int:
 def degree_counts(n: int) -> tuple[tuple[int, int], ...]:
     """Degree profile as (degree, multiplicity), descending by degree."""
     check_modulus(n)
+    return degree_counts_of_parts(n, divisor_phis(n))
+
+
+def degree_counts_of_parts(
+    n: int, parts: list[tuple[int, int]]
+) -> tuple[tuple[int, int], ...]:
+    """degree_counts(n) from the (d, phi(d)) table of n."""
     counts: Counter[int] = Counter()
-    for d in divisors(n):
-        size = euler_phi(d)
+    for _, size in parts:
         counts[n - size] += size
     return tuple(sorted(counts.items(), reverse=True))
 
@@ -56,8 +64,12 @@ def degree_counts(n: int) -> tuple[tuple[int, int], ...]:
 def edge_count(n: int) -> int:
     """(n**2 - sum of squared class sizes) / 2."""
     check_modulus(n)
-    squares = sum(euler_phi(d) ** 2 for d in divisors(n))
-    return (n * n - squares) // 2
+    return edge_count_of_parts(n, divisor_phis(n))
+
+
+def edge_count_of_parts(n: int, parts: list[tuple[int, int]]) -> int:
+    """edge_count(n) from the (d, phi(d)) table of n."""
+    return (n * n - sum(size * size for _, size in parts)) // 2
 
 
 def girth(n: int) -> int | float:
@@ -85,7 +97,7 @@ def is_complete(n: int) -> bool:
 def clique_chromatic_number(n: int) -> int:
     """Both equal the number of order classes, one vertex per class."""
     check_modulus(n)
-    return len(divisors(n))
+    return divisor_count(n)
 
 
 def is_hamiltonian(n: int) -> bool:
@@ -99,18 +111,19 @@ def is_hamiltonian(n: int) -> bool:
 
 
 def invariants(n: int) -> InvariantSet:
-    """The full record, by divisor enumeration alone. No graph is built."""
+    """The full record, from one (d, phi(d)) table. No graph is built."""
     check_modulus(n)
+    parts = divisor_phis(n)
     return InvariantSet(
         n=n,
-        edge_count=edge_count(n),
-        degree_counts=degree_counts(n),
+        edge_count=edge_count_of_parts(n, parts),
+        degree_counts=degree_counts_of_parts(n, parts),
         connected=True,
         girth=girth(n),
         diameter=diameter(n),
         bipartite=is_bipartite(n),
-        partite_count=clique_chromatic_number(n),
-        clique_number=clique_chromatic_number(n),
-        chromatic_number=clique_chromatic_number(n),
+        partite_count=len(parts),
+        clique_number=len(parts),
+        chromatic_number=len(parts),
         hamiltonian=is_hamiltonian(n),
     )

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
+from operator import itemgetter
 
 INVOLUTION = "involution"
 UNIT = "unit"
@@ -206,6 +207,38 @@ def divisors(n: int) -> list[int]:
     for p, e in factorize(n).items():
         out = [d * p**k for d in out for k in range(e + 1)]
     return sorted(out)
+
+
+def divisor_phis(n: int) -> list[tuple[int, int]]:
+    """Every divisor d of n with phi(d), as (d, phi(d)) ascending by d.
+
+    Built from the one factorization of n: phi is multiplicative and
+    phi(p**k) = p**(k-1) * (p - 1), so each prime power extends the
+    table without factoring any divisor.
+    """
+    if n < 1:
+        raise ValueError(f"divisor_phis needs n >= 1, got {n}")
+    table = [(1, 1)]
+    for p, e in factorize(n).items():
+        extended = list(table)
+        pk, phik = p, p - 1
+        for _ in range(e):
+            extended += [(d * pk, phi * phik) for d, phi in table]
+            pk *= p
+            phik *= p
+        table = extended
+    table.sort(key=itemgetter(0))
+    return table
+
+
+def divisor_count(n: int) -> int:
+    """Number of divisors of n, the product of (e + 1) over n's exponents."""
+    if n < 1:
+        raise ValueError(f"divisor_count needs n >= 1, got {n}")
+    count = 1
+    for e in factorize(n).values():
+        count *= e + 1
+    return count
 
 
 def is_prime(n: int) -> bool:

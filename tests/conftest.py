@@ -1,14 +1,23 @@
 """Naive reference implementations the tests compare against.
 
-Everything here recomputes from first principles (definition chasing,
-exhaustive search) and shares no code with the package, so agreement is
-meaningful. Keep these slow and obvious.
+Everything down to the closed-form section recomputes from first
+principles (definition chasing, exhaustive search) and shares no code
+with the package, so agreement is meaningful. The closed-form section
+keeps the per-divisor formulas that the (d, phi(d)) table replaced:
+they call zn.euler_phi and zn.divisors, which the first-principles
+references check. Keep these slow and obvious.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from math import inf
+
+import pytest
+
+from indegraph import audit, claims, closed_form, zn
+from indegraph.invariants import InvariantSet
 
 
 def naive_phi(n: int) -> int:
@@ -183,3 +192,110 @@ def naive_hamiltonian(n: int) -> bool:
         ):
             return True
     return False
+
+
+# -- closed forms, one euler_phi(d) per divisor d ----------------------------
+
+# Smooth n with 240, 3,168 and 103,680 divisors: the (d, phi(d)) tables
+# the closed forms are built from are largest here.
+SMOOTH_MODULI = (720720, 2**10 * 3**5 * 5**3 * 7**2 * 11 * 13, 897612484786617600)
+
+
+@pytest.fixture
+def empty_factorize_cache():
+    """Start and end with an empty cache: the references fill it per divisor."""
+    zn.factorize.cache_clear()
+    yield
+    zn.factorize.cache_clear()
+
+
+def per_divisor_invariants(n: int) -> InvariantSet:
+    """closed_form.invariants(n), factoring every divisor of n on its own."""
+    divs = zn.divisors(n)
+    counts: Counter[int] = Counter()
+    for d in divs:
+        size = zn.euler_phi(d)
+        counts[n - size] += size
+    squares = sum(zn.euler_phi(d) ** 2 for d in divs)
+    return InvariantSet(
+        n=n,
+        edge_count=(n * n - squares) // 2,
+        degree_counts=tuple(sorted(counts.items(), reverse=True)),
+        connected=True,
+        girth=closed_form.girth(n),
+        diameter=closed_form.diameter(n),
+        bipartite=closed_form.is_bipartite(n),
+        partite_count=len(divs),
+        clique_number=len(divs),
+        chromatic_number=len(divs),
+        hamiltonian=closed_form.is_hamiltonian(n),
+    )
+
+
+def per_divisor_observed(n: int, config: audit.AuditConfig) -> audit._Observed:
+    """The closed-form tier's facts for audit_n, one euler_phi(d) per divisor.
+
+    Covers n beyond every limit in `config`, with the fallback on.
+    """
+    assert n > max(config.oracle_build_limit, config.exact_search_limit,
+                   config.hamiltonian_limit)
+    assert config.closed_form_fallback
+    divs = zn.divisors(n)
+    involutions = 2 if n % 2 == 0 else 1
+    items = tuple(
+        ((n // d) % n, d, n - zn.euler_phi(d), zn.euler_phi(d)) for d in divs
+    )
+    counts: Counter[int] = Counter()
+    for _, _, deg, size in items:
+        counts[deg] += size
+    return audit._Observed(
+        n=n,
+        base_mode=audit.CLOSED_FORM,
+        involutions=involutions,
+        neither=0 if n == 2 else n - zn.euler_phi(n) - involutions,
+        edge_count=per_divisor_invariants(n).edge_count,
+        connected=True,
+        girth=closed_form.girth(n),
+        diameter=closed_form.diameter(n),
+        bipartite=closed_form.is_bipartite(n),
+        complete=closed_form.is_complete(n),
+        star=audit.is_star_profile(n, counts),
+        partite_count=len(divs),
+        multipartite_ok=True,
+        degree_items=items,
+        clique=len(divs),
+        clique_vertices=None,
+        chromatic=len(divs),
+        exact_mode=audit.CLOSED_FORM,
+        hamiltonian=closed_form.is_hamiltonian(n),
+        hamiltonian_cycle=None,
+        ham_mode=audit.CLOSED_FORM,
+    )
+
+
+def per_item_audit_degrees(n: int, obs: audit._Observed) -> audit.TheoremVerdict:
+    """The T2.7 verdict with claims.degree_claim evaluated for every item."""
+    phi = zn.euler_phi(n)
+    claimed = f"{n - 1} (involutions) / {n - phi} (units) / {phi + 2} or {phi + 1} (rest)"
+    first_bad = None
+    deviating = 0
+    for vertex, order, deg, size in obs.degree_items:
+        claim = claims.degree_claim(vertex, n)
+        if not claim.matches(deg):
+            deviating += size
+            if first_bad is None:
+                first_bad = (vertex, order, deg, claim)
+    if first_bad is None:
+        return audit.TheoremVerdict(
+            audit.TheoremId.T2_7, n, claimed, "all degrees as claimed",
+            audit.Status.MATCH, None, obs.base_mode,
+        )
+    vertex, order, deg, claim = first_bad
+    witness = (
+        f"vertex {vertex} (order {order}) has degree {deg}, claimed {claim}; "
+        f"{deviating} of {n} vertices deviate"
+    )
+    return audit.TheoremVerdict(
+        audit.TheoremId.T2_7, n, claimed, f"vertex {vertex} has degree {deg}",
+        audit.Status.MISMATCH, witness, obs.base_mode,
+    )

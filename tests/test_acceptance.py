@@ -193,3 +193,20 @@ def test_criterion_10_number_theory_cannot_hang():
     report(10, "closed-form invariants under 100ms each from a cold cache for 2^61-1, "
                "(10^9+7)(10^9+9), 999999999999999989 and 10^18; info on "
                "2(2^89-1) exits 1 with a capacity error", ok, max(times))
+
+
+def test_criterion_11_smooth_closed_forms_from_one_factorization():
+    n = 897_612_484_786_617_600  # 103,680 divisors
+    closed_form.invariants(2)  # warm imports off the clock
+    zn.factorize.cache_clear()
+    start = time.perf_counter()
+    closed_form.invariants(n)
+    elapsed = time.perf_counter() - start
+    ok = elapsed < 0.5
+    info = subprocess.run(
+        [sys.executable, "-m", "indegraph", "info", str(n), "--json"],
+        capture_output=True, text=True,
+    )
+    ok = ok and info.returncode == 0
+    report(11, "closed-form invariants for n=897612484786617600 (103680 divisors) "
+               "under 0.5s from a cold cache; info --json on it exits 0", ok, elapsed)

@@ -1,8 +1,9 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from indegraph import closed_form, oracle
+from indegraph import audit, closed_form, oracle
 from indegraph.audit import (
     AuditConfig,
     Status,
@@ -11,6 +12,8 @@ from indegraph.audit import (
     render_report,
     sweep,
 )
+
+from conftest import SMOOTH_MODULI, per_divisor_observed, per_item_audit_degrees
 
 
 def verdict(verdicts, theorem):
@@ -139,6 +142,11 @@ STRUCTURED_UP_TO_BUILD_LIMIT = (
 @pytest.mark.parametrize("n", STRUCTURED_UP_TO_BUILD_LIMIT)
 def test_closed_form_tier_matches_oracle_tier_up_to_build_limit(n):
     assert n <= oracle.DEFAULT_BUILD_LIMIT
+    _statuses_agree_between_tiers(n)
+    assert oracle.build(n).girth() == closed_form.girth(n)
+
+
+def _statuses_agree_between_tiers(n):
     below_n = AuditConfig(oracle_build_limit=n - 1, exact_search_limit=n - 1,
                           hamiltonian_limit=n - 1)
     by_oracle = audit_n(n)
@@ -148,7 +156,29 @@ def test_closed_form_tier_matches_oracle_tier_up_to_build_limit(n):
     assert [(v.theorem, v.status) for v in by_oracle] == [
         (v.theorem, v.status) for v in by_closed_form
     ]
-    assert oracle.build(n).girth() == closed_form.girth(n)
+
+
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(st.integers(min_value=513, max_value=oracle.DEFAULT_BUILD_LIMIT))
+def test_closed_form_tier_matches_oracle_tier_on_sampled_n(n):
+    _statuses_agree_between_tiers(n)
+
+
+@pytest.mark.parametrize("n", SMOOTH_MODULI)
+@pytest.mark.usefixtures("empty_factorize_cache")
+def test_closed_form_audit_matches_per_divisor_reference(n, monkeypatch):
+    verdicts = audit_n(n)
+    assert {v.ground_truth for v in verdicts} == {"CLOSED_FORM"}
+    monkeypatch.setattr(audit, "_observe", per_divisor_observed)
+    monkeypatch.setattr(audit, "_audit_degrees", per_item_audit_degrees)
+    assert verdicts == audit_n(n)
+
+
+def test_degree_verdict_matches_per_item_claims_on_the_oracle_tier():
+    config = AuditConfig(exact_search_limit=2, hamiltonian_limit=2)
+    for n in range(2, 300):
+        obs = audit._observe(n, config)
+        assert audit._audit_degrees(n, obs) == per_item_audit_degrees(n, obs), n
 
 
 def test_fallback_disabled_yields_skips():

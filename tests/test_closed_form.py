@@ -13,6 +13,8 @@ from hypothesis import given, strategies as st
 from indegraph import closed_form, oracle, zn
 from indegraph.invariants import INFINITE, length_str
 
+from conftest import SMOOTH_MODULI, per_divisor_invariants
+
 moduli = st.integers(min_value=2, max_value=300)
 
 
@@ -112,6 +114,19 @@ def test_invariants_consistent(n):
     assert sum(cnt for _, cnt in inv.degree_counts) == n
     assert sum(deg * cnt for deg, cnt in inv.degree_counts) == 2 * inv.edge_count
     assert inv.connected
+
+
+@pytest.mark.parametrize("n", SMOOTH_MODULI)
+@pytest.mark.usefixtures("empty_factorize_cache")
+def test_invariants_match_per_divisor_formulas(n):
+    inv = closed_form.invariants(n)
+    assert inv == per_divisor_invariants(n)
+    assert closed_form.edge_count(n) == inv.edge_count
+    assert closed_form.degree_counts(n) == inv.degree_counts
+    assert closed_form.clique_chromatic_number(n) == inv.partite_count
+    assert closed_form.part_sizes(n).sizes == tuple(
+        sorted(zn.euler_phi(d) for d in zn.divisors(n))
+    )
 
 
 def test_invariants_large_prime_is_fast_and_star_shaped():

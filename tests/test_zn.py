@@ -242,6 +242,40 @@ def test_order_decomposition_classes(n):
     assert total == n
 
 
+def test_divisor_phis_match_phi_of_each_divisor_to_5000():
+    for n in range(1, 5001):
+        table = zn.divisor_phis(n)
+        assert table == [(d, zn.euler_phi(d)) for d in zn.divisors(n)], n
+        assert zn.divisor_count(n) == len(table), n
+
+
+@given(known_factorizations())
+def test_divisor_phis_on_products_of_known_primes(case):
+    n, _ = case
+    zn.factorize.cache_clear()
+    try:
+        divs = zn.divisors(n)
+        assert zn.divisor_phis(n) == [(d, zn.euler_phi(d)) for d in divs]
+        assert zn.divisor_count(n) == len(divs)
+    finally:
+        zn.factorize.cache_clear()
+
+
+def test_divisor_phis_edges():
+    assert zn.divisor_phis(1) == [(1, 1)]
+    assert zn.divisor_count(1) == 1
+    for bad in (0, -6):
+        with pytest.raises(ValueError):
+            zn.divisor_phis(bad)
+        with pytest.raises(ValueError):
+            zn.divisor_count(bad)
+    zn.factorize.cache_clear()
+    with pytest.raises(zn.CapacityError):
+        zn.divisor_phis(MERSENNE_89)
+    with pytest.raises(zn.CapacityError):
+        zn.divisor_count(MERSENNE_89)
+
+
 def test_phi_large_prime():
     p = 10**9 + 7
     assert zn.euler_phi(p) == p - 1
