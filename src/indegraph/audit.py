@@ -13,6 +13,7 @@ import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Mapping
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -156,11 +157,10 @@ class _Observed:
     ham_mode: str | None
 
 
-def is_star_profile(n: int, counts: Counter[int]) -> bool:
+def is_star_profile(n: int, counts: Mapping[int, int]) -> bool:
     """Whether {degree: count} is the degree profile of the star on n vertices."""
-    if n == 2:
-        return counts == Counter({1: 2})
-    return counts == Counter({n - 1: 1, 1: n - 1})
+    star = {1: 2} if n == 2 else {n - 1: 1, 1: n - 1}
+    return dict(counts) == star
 
 
 def _observe(n: int, config: AuditConfig) -> _Observed:
@@ -196,9 +196,7 @@ def _observe(n: int, config: AuditConfig) -> _Observed:
         involutions = 2 if n % 2 == 0 else 1
         # (n // d) % n has order exactly d; the modulus folds d = 1 onto 0.
         items = tuple(((n // d) % n, d, n - size, size) for d, size in parts)
-        counts = Counter()
-        for _, _, deg, size in items:
-            counts[deg] += size
+        counts = dict(closed_form.degree_counts_of_parts(n, parts))
         base = dict(
             base_mode=CLOSED_FORM,
             involutions=involutions,
@@ -344,13 +342,8 @@ def _audit_degrees(n: int, obs: _Observed) -> TheoremVerdict:
     first_bad: tuple[int, int, int] | None = None
     first_claim: claims.DegreeClaim | None = None
     deviating = 0
-    # The claimed degree depends only on n and the residue's kind.
-    by_kind: dict[str, claims.DegreeClaim] = {}
     for vertex, order, deg, size in obs.degree_items:
-        kind = zn.classify_residue(vertex, n)
-        claim = by_kind.get(kind)
-        if claim is None:
-            claim = by_kind[kind] = claims.degree_claim(vertex, n)
+        claim = claims.degree_claim(vertex, n)
         if not claim.matches(deg):
             deviating += size
             if first_bad is None:

@@ -16,7 +16,7 @@ from math import inf
 
 import pytest
 
-from indegraph import audit, claims, closed_form, zn
+from indegraph import audit, closed_form, zn
 from indegraph.invariants import InvariantSet
 
 
@@ -272,30 +272,3 @@ def per_divisor_observed(n: int, config: audit.AuditConfig) -> audit._Observed:
         ham_mode=audit.CLOSED_FORM,
     )
 
-
-def per_item_audit_degrees(n: int, obs: audit._Observed) -> audit.TheoremVerdict:
-    """The T2.7 verdict with claims.degree_claim evaluated for every item."""
-    phi = zn.euler_phi(n)
-    claimed = f"{n - 1} (involutions) / {n - phi} (units) / {phi + 2} or {phi + 1} (rest)"
-    first_bad = None
-    deviating = 0
-    for vertex, order, deg, size in obs.degree_items:
-        claim = claims.degree_claim(vertex, n)
-        if not claim.matches(deg):
-            deviating += size
-            if first_bad is None:
-                first_bad = (vertex, order, deg, claim)
-    if first_bad is None:
-        return audit.TheoremVerdict(
-            audit.TheoremId.T2_7, n, claimed, "all degrees as claimed",
-            audit.Status.MATCH, None, obs.base_mode,
-        )
-    vertex, order, deg, claim = first_bad
-    witness = (
-        f"vertex {vertex} (order {order}) has degree {deg}, claimed {claim}; "
-        f"{deviating} of {n} vertices deviate"
-    )
-    return audit.TheoremVerdict(
-        audit.TheoremId.T2_7, n, claimed, f"vertex {vertex} has degree {deg}",
-        audit.Status.MISMATCH, witness, obs.base_mode,
-    )

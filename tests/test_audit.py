@@ -13,7 +13,7 @@ from indegraph.audit import (
     sweep,
 )
 
-from conftest import SMOOTH_MODULI, per_divisor_observed, per_item_audit_degrees
+from conftest import SMOOTH_MODULI, per_divisor_observed
 
 
 def verdict(verdicts, theorem):
@@ -170,15 +170,7 @@ def test_closed_form_audit_matches_per_divisor_reference(n, monkeypatch):
     verdicts = audit_n(n)
     assert {v.ground_truth for v in verdicts} == {"CLOSED_FORM"}
     monkeypatch.setattr(audit, "_observe", per_divisor_observed)
-    monkeypatch.setattr(audit, "_audit_degrees", per_item_audit_degrees)
     assert verdicts == audit_n(n)
-
-
-def test_degree_verdict_matches_per_item_claims_on_the_oracle_tier():
-    config = AuditConfig(exact_search_limit=2, hamiltonian_limit=2)
-    for n in range(2, 300):
-        obs = audit._observe(n, config)
-        assert audit._audit_degrees(n, obs) == per_item_audit_degrees(n, obs), n
 
 
 def test_fallback_disabled_yields_skips():
