@@ -1,10 +1,12 @@
 """Claim-by-claim audit of I_G(Z_n) against ground truth.
 
-Ground truth comes from the brute-force oracle while n sits inside the
-configured limits and from the oracle-validated closed forms beyond
-them. Every verdict records which tier produced it, so a skeptical
-reader can filter the closed-form ones out; with the fallback disabled,
-out-of-range checks surface as SKIPPED_ORACLE_LIMIT instead.
+`ground_truth` builds one record of facts per n: from the brute-force
+oracle while n sits inside the configured limits, from the
+oracle-validated closed forms beyond them. Each claim is one row of
+`CLAIMS`, and one evaluator turns a row and the record into a verdict.
+Every verdict records which tier produced it, so a skeptical reader can
+filter the closed-form ones out; with the fallback disabled, checks on
+closed-form facts surface as SKIPPED_ORACLE_LIMIT instead.
 """
 
 from __future__ import annotations
@@ -13,14 +15,20 @@ import csv
 import io
 import json
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
 
 from indegraph import claims, closed_form, oracle, zn
-from indegraph.invariants import length_str
+from indegraph.invariants import (
+    CLOSED_FORM,
+    ORACLE,
+    InvariantSet,
+    length_str,
+    profile_str,
+)
 
 
 class TheoremId(Enum):
@@ -46,39 +54,11 @@ class TheoremId(Enum):
     T4_4 = "T4.4"
 
 
-GLOSS: dict[TheoremId, str] = {
-    TheoremId.L2_5: "involution count is 1 for odd n, 2 for even n",
-    TheoremId.L2_6: "count outside units and involutions, cases as printed",
-    TheoremId.L2_6_SWAPPED: "the same count with the even/odd cases exchanged",
-    TheoremId.T2_4: "the graph is connected",
-    TheoremId.T2_7: "degrees: n-1 / n-phi(n) / phi(n)+2 or phi(n)+1 by case",
-    TheoremId.T2_10: "edge-count formula in n and phi(n)",
-    TheoremId.T2_12: "never complete for n > 2",
-    TheoremId.C2_13: "complete exactly when n = 2",
-    TheoremId.T2_14: "star graph exactly when n is prime",
-    TheoremId.T2_15: "girth is 3 for composite n, infinite for prime n",
-    TheoremId.T2_16: "diameter is at most 2",
-    TheoremId.T2_17: "hamiltonian for every composite n >= 4",
-    TheoremId.R2_18: "non-hamiltonian exactly for n in {2, 3} (iff reading)",
-    TheoremId.T3_1: "bipartite for prime n",
-    TheoremId.T3_2: "not bipartite for composite n",
-    TheoremId.T3_3: "complete multipartite on the order classes",
-    TheoremId.C3_4: "complete 4-partite when n is a product of two primes",
-    TheoremId.T4_1: "clique-number formula in n, phi(n) and the involution count",
-    TheoremId.T4_3: "chromatic-number formula in n, phi(n) and the involution count",
-    TheoremId.T4_4: "perfectness verdict from the claimed formulas (inverted terms)",
-}
-
-
 class Status(Enum):
     MATCH = "MATCH"
     MISMATCH = "MISMATCH"
     NOT_APPLICABLE = "NOT_APPLICABLE"
     SKIPPED_ORACLE_LIMIT = "SKIPPED_ORACLE_LIMIT"
-
-
-ORACLE = "ORACLE"
-CLOSED_FORM = "CLOSED_FORM"
 
 
 @dataclass(frozen=True)
@@ -87,6 +67,11 @@ class AuditConfig:
     exact_search_limit: int = oracle.DEFAULT_EXACT_SEARCH_LIMIT
     hamiltonian_limit: int = oracle.DEFAULT_HAMILTONIAN_LIMIT
     closed_form_fallback: bool = True
+
+    def __post_init__(self) -> None:
+        for name in ("oracle_build_limit", "exact_search_limit", "hamiltonian_limit"):
+            if getattr(self, name) < 2:
+                raise ValueError(f"{name} must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -128,558 +113,327 @@ class SweepReport:
 # -- ground truth ---------------------------------------------------------
 
 
+def ground_truth(n: int, config: AuditConfig) -> InvariantSet:
+    """Every fact about n: the oracle's inside the build limit, else the closed forms'.
+
+    A search the oracle declines (clique and chromatic number beyond the
+    exact-search limit, Hamiltonicity beyond its own) is filled in from
+    the closed forms, with its tier set to CLOSED_FORM. Whether facts
+    from that tier may decide a verdict is the audit's call
+    (`AuditConfig.closed_form_fallback`), not this function's.
+    """
+    if n > config.oracle_build_limit:
+        return closed_form.invariants(n)
+    truth = oracle.invariants(
+        oracle.build(n, limit=config.oracle_build_limit),
+        exact_limit=config.exact_search_limit,
+        hamiltonian_limit=config.hamiltonian_limit,
+    )
+    if truth.exact_tier is None:
+        parts = closed_form.clique_chromatic_number(n)
+        truth = replace(
+            truth, exact_tier=CLOSED_FORM, clique_number=parts, chromatic_number=parts
+        )
+    if truth.hamiltonian_tier is None:
+        truth = replace(
+            truth, hamiltonian_tier=CLOSED_FORM, hamiltonian=closed_form.is_hamiltonian(n)
+        )
+    return truth
+
+
+# -- the claims ------------------------------------------------------------
+
+# A check reads the record and returns (claimed, observed, holds, witness),
+# or raises NotApplicable when the claim's hypotheses exclude n.
+CheckResult = tuple[str, str, bool, str | None]
+Check = Callable[[int, InvariantSet], CheckResult]
+
+
+class NotApplicable(Exception):
+    """The claim's hypotheses exclude this n; the message says why."""
+
+
 @dataclass(frozen=True)
-class _Observed:
-    """Ground-truth facts about one n, with the tier that produced them."""
+class Claim:
+    """One audited claim, as a row of data.
 
-    n: int
-    base_mode: str
-    involutions: int
-    neither: int
-    edge_count: int
-    connected: bool
-    girth: int | float
-    diameter: int | float
-    bipartite: bool
-    complete: bool
-    star: bool
-    partite_count: int
-    multipartite_ok: bool
-    # (vertex, order, degree, class size); per vertex in oracle mode,
-    # one representative per order class in closed-form mode.
-    degree_items: tuple[tuple[int, int, int, int], ...]
-    clique: int | None
-    clique_vertices: tuple[int, ...] | None
-    chromatic: int | None
-    exact_mode: str | None
-    hamiltonian: bool | None
-    hamiltonian_cycle: tuple[int, ...] | None
-    ham_mode: str | None
+    `tier` names the record field holding the tier of the facts `check`
+    reads. The witness is reported on a mismatch, and on a match too
+    when `witness_on_match` is set.
+    """
+
+    theorem: TheoremId
+    gloss: str
+    check: Check
+    tier: str = "tier"
+    witness_on_match: bool = False
 
 
-def is_star_profile(n: int, counts: Mapping[int, int]) -> bool:
-    """Whether {degree: count} is the degree profile of the star on n vertices."""
-    star = {1: 2} if n == 2 else {n - 1: 1, 1: n - 1}
-    return dict(counts) == star
+def _is(word: str, value: bool) -> str:
+    return word if value else f"not {word}"
 
 
-def _observe(n: int, config: AuditConfig) -> _Observed:
-    use_graph = n <= config.oracle_build_limit
-    if use_graph:
-        graph = oracle.build(n, limit=config.oracle_build_limit)
-        sets = zn.special_sets(n)
-        degs = graph.degrees()
-        counts = Counter(degs)
-        edge_count = sum(degs) // 2
-        base = dict(
-            base_mode=ORACLE,
-            involutions=len(sets.involutions),
-            neither=len(sets.neither),
-            edge_count=edge_count,
-            connected=graph.is_connected(),
-            girth=graph.girth(),
-            diameter=graph.diameter(),
-            bipartite=graph.is_bipartite(),
-            complete=edge_count == n * (n - 1) // 2,
-            star=is_star_profile(n, counts),
-            partite_count=graph.partite_count(),
-            multipartite_ok=oracle.verify_complete_multipartite(
-                graph, zn.order_decomposition(n)
-            ),
-            degree_items=tuple(
-                (a, graph.orders[a], degs[a], 1) for a in range(n)
-            ),
-        )
-    else:
-        graph = None
-        parts = zn.divisor_phis(n)
-        involutions = 2 if n % 2 == 0 else 1
-        # (n // d) % n has order exactly d; the modulus folds d = 1 onto 0.
-        items = tuple(((n // d) % n, d, n - size, size) for d, size in parts)
-        counts = dict(closed_form.degree_counts_of_parts(n, parts))
-        base = dict(
-            base_mode=CLOSED_FORM,
-            involutions=involutions,
-            neither=0 if n == 2 else n - zn.euler_phi(n) - involutions,
-            edge_count=closed_form.edge_count_of_parts(n, parts),
-            connected=True,
-            girth=closed_form.girth(n),
-            diameter=closed_form.diameter(n),
-            bipartite=closed_form.is_bipartite(n),
-            complete=closed_form.is_complete(n),
-            star=is_star_profile(n, counts),
-            partite_count=len(parts),
-            multipartite_ok=True,
-            degree_items=items,
-        )
-
-    if use_graph and n <= config.exact_search_limit:
-        clique_vertices = oracle.max_clique(graph, limit=config.exact_search_limit)
-        clique: int | None = len(clique_vertices)
-        chromatic: int | None = oracle.chromatic_number(
-            graph, limit=config.exact_search_limit
-        )
-        exact_mode: str | None = ORACLE
-    elif config.closed_form_fallback:
-        clique = chromatic = closed_form.clique_chromatic_number(n)
-        clique_vertices = None
-        exact_mode = CLOSED_FORM
-    else:
-        clique = chromatic = None
-        clique_vertices = None
-        exact_mode = None
-
-    if use_graph and n <= config.hamiltonian_limit:
-        cycle = oracle.find_hamiltonian_cycle(graph, limit=config.hamiltonian_limit)
-        hamiltonian: bool | None = cycle is not None
-        ham_mode: str | None = ORACLE
-    elif config.closed_form_fallback:
-        hamiltonian = closed_form.is_hamiltonian(n)
-        cycle = None
-        ham_mode = CLOSED_FORM
-    else:
-        hamiltonian = None
-        cycle = None
-        ham_mode = None
-
-    return _Observed(
-        n=n,
-        clique=clique,
-        clique_vertices=clique_vertices,
-        chromatic=chromatic,
-        exact_mode=exact_mode,
-        hamiltonian=hamiltonian,
-        hamiltonian_cycle=cycle,
-        ham_mode=ham_mode,
-        **base,
-    )
+def _multipartite_str(truth: InvariantSet) -> str:
+    if truth.multipartite:
+        return f"complete {truth.partite_count}-partite"
+    return "adjacency deviates from the order-class pattern"
 
 
-# -- per-theorem verdicts --------------------------------------------------
+def _completeness_witness(n: int, truth: InvariantSet) -> str:
+    return f"the graph has {truth.edge_count} of {n * (n - 1) // 2} possible edges"
 
 
-def _na(theorem: TheoremId, n: int, reason: str, mode: str) -> TheoremVerdict:
-    return TheoremVerdict(theorem, n, "", "", Status.NOT_APPLICABLE, reason, mode)
-
-
-def _skip(theorem: TheoremId, n: int, claimed: str) -> TheoremVerdict:
-    reason = "oracle limit exceeded and closed-form fallback disabled"
-    return TheoremVerdict(
-        theorem, n, claimed, "", Status.SKIPPED_ORACLE_LIMIT, reason, ORACLE
-    )
-
-
-def _compare(
-    theorem: TheoremId,
-    n: int,
-    claimed: str,
-    observed: str,
-    ok: bool,
-    witness: str | None,
-    mode: str,
-) -> TheoremVerdict:
-    status = Status.MATCH if ok else Status.MISMATCH
-    return TheoremVerdict(
-        theorem, n, claimed, observed, status, None if ok else witness, mode
-    )
-
-
-def _ham_str(value: bool) -> str:
-    return "hamiltonian" if value else "not hamiltonian"
-
-
-def _audit_involution_count(n: int, obs: _Observed) -> TheoremVerdict:
-    claimed = claims.involution_count(n)
-    return _compare(
-        TheoremId.L2_5,
-        n,
-        str(claimed),
-        str(obs.involutions),
-        claimed == obs.involutions,
-        f"enumeration finds {obs.involutions} involutions",
-        obs.base_mode,
-    )
-
-
-def _audit_neither_count(
-    theorem: TheoremId, swapped: bool, n: int, obs: _Observed
-) -> TheoremVerdict:
-    if n == 2:
-        return _na(
-            theorem,
-            n,
-            "units and involutions overlap at n=2; the three-way split degenerates",
-            obs.base_mode,
-        )
-    claimed = claims.neither_count(n, swapped=swapped)
-    return _compare(
-        theorem,
-        n,
-        str(claimed),
-        str(obs.neither),
-        claimed == obs.neither,
-        f"enumeration finds {obs.neither} residues outside units and involutions",
-        obs.base_mode,
-    )
-
-
-def _audit_connected(n: int, obs: _Observed) -> TheoremVerdict:
-    observed = "connected" if obs.connected else "disconnected"
-    return _compare(
-        TheoremId.T2_4,
-        n,
-        "connected",
-        observed,
-        obs.connected,
-        "breadth-first search from vertex 0 misses part of the graph",
-        obs.base_mode,
-    )
-
-
-def _audit_degrees(n: int, obs: _Observed) -> TheoremVerdict:
-    phi = zn.euler_phi(n)
-    claimed = f"{n - 1} (involutions) / {n - phi} (units) / {phi + 2} or {phi + 1} (rest)"
-    first_bad: tuple[int, int, int] | None = None
-    first_claim: claims.DegreeClaim | None = None
-    deviating = 0
-    for vertex, order, deg, size in obs.degree_items:
-        claim = claims.degree_claim(vertex, n)
-        if not claim.matches(deg):
-            deviating += size
-            if first_bad is None:
-                first_bad = (vertex, order, deg)
-                first_claim = claim
-    if first_bad is None:
-        return _compare(
-            TheoremId.T2_7, n, claimed, "all degrees as claimed", True, None, obs.base_mode
-        )
-    vertex, order, deg = first_bad
-    witness = (
-        f"vertex {vertex} (order {order}) has degree {deg}, claimed {first_claim}; "
-        f"{deviating} of {n} vertices deviate"
-    )
-    return _compare(
-        TheoremId.T2_7,
-        n,
-        claimed,
-        f"vertex {vertex} has degree {deg}",
-        False,
-        witness,
-        obs.base_mode,
-    )
-
-
-def _audit_edge_count(n: int, obs: _Observed) -> TheoremVerdict:
-    claimed = claims.edge_count(n)
-    return _compare(
-        TheoremId.T2_10,
-        n,
-        str(claimed),
-        str(obs.edge_count),
-        claimed == obs.edge_count,
-        f"the adjacency relation contains {obs.edge_count} unordered pairs",
-        obs.base_mode,
-    )
-
-
-def _completeness_witness(n: int, obs: _Observed) -> str:
-    return f"the graph has {obs.edge_count} of {n * (n - 1) // 2} possible edges"
-
-
-def _audit_never_complete(n: int, obs: _Observed) -> TheoremVerdict:
-    if n == 2:
-        return _na(TheoremId.T2_12, n, "the claim assumes n > 2", obs.base_mode)
-    observed = "complete" if obs.complete else "not complete"
-    return _compare(
-        TheoremId.T2_12,
-        n,
-        "not complete",
-        observed,
-        not obs.complete,
-        _completeness_witness(n, obs),
-        obs.base_mode,
-    )
-
-
-def _audit_complete_iff(n: int, obs: _Observed) -> TheoremVerdict:
-    claimed = "complete" if n == 2 else "not complete"
-    observed = "complete" if obs.complete else "not complete"
-    return _compare(
-        TheoremId.C2_13,
-        n,
-        claimed,
-        observed,
-        claimed == observed,
-        _completeness_witness(n, obs),
-        obs.base_mode,
-    )
-
-
-def _profile_str(obs: _Observed) -> str:
-    counts: Counter[int] = Counter()
-    for _, _, deg, size in obs.degree_items:
-        counts[deg] += size
-    return " ".join(f"{deg}x{cnt}" for deg, cnt in sorted(counts.items(), reverse=True))
-
-
-def _audit_star(n: int, obs: _Observed) -> TheoremVerdict:
-    claimed = "star" if zn.is_prime(n) else "not star"
-    observed = "star" if obs.star else "not star"
-    ok = claimed == observed
-    # The profile is only rendered when it becomes the witness.
-    witness = None if ok else f"degree profile {_profile_str(obs)}"
-    return _compare(
-        TheoremId.T2_14, n, claimed, observed, ok, witness, obs.base_mode
-    )
-
-
-def _audit_girth(n: int, obs: _Observed) -> TheoremVerdict:
-    claimed = claims.structural(n).girth
-    return _compare(
-        TheoremId.T2_15,
-        n,
-        length_str(claimed),
-        length_str(obs.girth),
-        claimed == obs.girth,
-        f"shortest cycle length {length_str(obs.girth)}",
-        obs.base_mode,
-    )
-
-
-def _audit_diameter(n: int, obs: _Observed) -> TheoremVerdict:
-    bound = claims.structural(n).diameter_bound
-    return _compare(
-        TheoremId.T2_16,
-        n,
-        f"<= {bound}",
-        length_str(obs.diameter),
-        obs.diameter <= bound,
-        f"some pair sits at distance {length_str(obs.diameter)}",
-        obs.base_mode,
-    )
-
-
-def _ham_witness(n: int, obs: _Observed) -> str:
-    if obs.ham_mode == ORACLE:
+def _ham_witness(n: int, truth: InvariantSet) -> str:
+    if truth.hamiltonian_tier == ORACLE:
         return "exhaustive backtracking over cycles through vertex 0 found none"
     phi = zn.euler_phi(n)
     return f"the unit class holds {phi} of {n} vertices, more than half"
 
 
-def _audit_hamiltonian_composite(n: int, obs: _Observed) -> TheoremVerdict:
-    if n < 4 or zn.is_prime(n):
-        return _na(
-            TheoremId.T2_17, n, "the claim covers composite n >= 4 only", obs.base_mode
+def _needs_n_above_2(n: int) -> None:
+    if n == 2:
+        raise NotApplicable("the claim assumes n > 2")
+
+
+def _involutions(n: int, truth: InvariantSet) -> CheckResult:
+    claimed, observed = claims.involution_count(n), truth.involutions
+    witness = f"enumeration finds {observed} involutions"
+    return str(claimed), str(observed), claimed == observed, witness
+
+
+def _neither(n: int, truth: InvariantSet, swapped: bool) -> CheckResult:
+    if n == 2:
+        raise NotApplicable(
+            "units and involutions overlap at n=2; the three-way split degenerates"
         )
-    if obs.hamiltonian is None:
-        return _skip(TheoremId.T2_17, n, "hamiltonian")
-    witness = None
-    if obs.hamiltonian and obs.hamiltonian_cycle is not None:
-        witness = "cycle " + " ".join(str(v) for v in obs.hamiltonian_cycle)
-    verdict = _compare(
-        TheoremId.T2_17,
-        n,
-        "hamiltonian",
-        _ham_str(obs.hamiltonian),
-        obs.hamiltonian,
-        _ham_witness(n, obs),
-        obs.ham_mode,
-    )
-    if verdict.status is Status.MATCH and witness:
-        verdict = TheoremVerdict(
-            verdict.theorem, n, verdict.claimed, verdict.observed,
-            verdict.status, witness, verdict.ground_truth,
-        )
-    return verdict
+    claimed, observed = claims.neither_count(n, swapped=swapped), truth.neither
+    witness = f"enumeration finds {observed} residues outside units and involutions"
+    return str(claimed), str(observed), claimed == observed, witness
 
 
-def _audit_hamiltonian_iff(n: int, obs: _Observed) -> TheoremVerdict:
-    claimed_value = n not in (2, 3)
-    if obs.hamiltonian is None:
-        return _skip(TheoremId.R2_18, n, _ham_str(claimed_value))
-    witness = _ham_witness(n, obs) + "; biconditional reading of the claim"
-    return _compare(
-        TheoremId.R2_18,
-        n,
-        _ham_str(claimed_value),
-        _ham_str(obs.hamiltonian),
-        claimed_value == obs.hamiltonian,
-        witness,
-        obs.ham_mode,
-    )
+def _connected(n: int, truth: InvariantSet) -> CheckResult:
+    observed = "connected" if truth.connected else "disconnected"
+    witness = "breadth-first search from vertex 0 misses part of the graph"
+    return "connected", observed, truth.connected, witness
 
 
-def _audit_bipartite_prime(n: int, obs: _Observed) -> TheoremVerdict:
-    if not zn.is_prime(n):
-        return _na(TheoremId.T3_1, n, "the claim covers prime n only", obs.base_mode)
-    observed = "bipartite" if obs.bipartite else "not bipartite"
-    return _compare(
-        TheoremId.T3_1,
-        n,
-        "bipartite",
-        observed,
-        obs.bipartite,
-        "two-coloring fails",
-        obs.base_mode,
-    )
-
-
-def _audit_bipartite_composite(n: int, obs: _Observed) -> TheoremVerdict:
-    if zn.is_prime(n):
-        return _na(TheoremId.T3_2, n, "the claim covers composite n only", obs.base_mode)
-    observed = "bipartite" if obs.bipartite else "not bipartite"
-    return _compare(
-        TheoremId.T3_2,
-        n,
-        "not bipartite",
-        observed,
-        not obs.bipartite,
-        "two-coloring succeeds",
-        obs.base_mode,
-    )
-
-
-def _audit_multipartite(n: int, obs: _Observed) -> TheoremVerdict:
-    parts = zn.divisor_count(n)
-    claimed = f"complete {parts}-partite on the order classes"
-    if obs.multipartite_ok:
-        observed = f"complete {obs.partite_count}-partite"
-    else:
-        observed = "adjacency deviates from the order-class pattern"
-    ok = obs.multipartite_ok and obs.partite_count == parts
+def _degrees(n: int, truth: InvariantSet) -> CheckResult:
+    phi = zn.euler_phi(n)
+    claimed = f"{n - 1} (involutions) / {n - phi} (units) / {phi + 2} or {phi + 1} (rest)"
+    first_bad: tuple[int, int, int, claims.DegreeClaim] | None = None
+    deviating = 0
+    items = truth.degree_items
+    if items is None:
+        # One representative per order class: (n // d) % n has order
+        # exactly d; the modulus folds d = 1 onto 0.
+        items = (((n // d) % n, d, n - size, size) for d, size in truth.order_classes)
+    for vertex, order, deg, size in items:
+        claim = claims.degree_claim(vertex, n)
+        if not claim.matches(deg):
+            deviating += size
+            if first_bad is None:
+                first_bad = (vertex, order, deg, claim)
+    if first_bad is None:
+        return claimed, "all degrees as claimed", True, None
+    vertex, order, deg, claim = first_bad
     witness = (
-        f"order classes: {parts}; distinct non-neighborhoods: {obs.partite_count}"
+        f"vertex {vertex} (order {order}) has degree {deg}, claimed {claim}; "
+        f"{deviating} of {n} vertices deviate"
     )
-    return _compare(TheoremId.T3_3, n, claimed, observed, ok, witness, obs.base_mode)
+    return claimed, f"vertex {vertex} has degree {deg}", False, witness
 
 
-def _audit_semiprime(n: int, obs: _Observed) -> TheoremVerdict:
+def _edges(n: int, truth: InvariantSet) -> CheckResult:
+    claimed, observed = claims.edge_count(n), truth.edge_count
+    witness = f"the adjacency relation contains {observed} unordered pairs"
+    return str(claimed), str(observed), claimed == observed, witness
+
+
+def _never_complete(n: int, truth: InvariantSet) -> CheckResult:
+    _needs_n_above_2(n)
+    observed = _is("complete", truth.complete)
+    return "not complete", observed, not truth.complete, _completeness_witness(n, truth)
+
+
+def _complete_iff(n: int, truth: InvariantSet) -> CheckResult:
+    claimed, observed = _is("complete", n == 2), _is("complete", truth.complete)
+    return claimed, observed, claimed == observed, _completeness_witness(n, truth)
+
+
+def _star(n: int, truth: InvariantSet) -> CheckResult:
+    claimed, observed = _is("star", zn.is_prime(n)), _is("star", truth.star)
+    ok = claimed == observed
+    # The profile is only rendered when it becomes the witness.
+    witness = None if ok else f"degree profile {profile_str(truth.degree_counts)}"
+    return claimed, observed, ok, witness
+
+
+def _girth(n: int, truth: InvariantSet) -> CheckResult:
+    claimed, observed = claims.structural(n).girth, truth.girth
+    witness = f"shortest cycle length {length_str(observed)}"
+    return length_str(claimed), length_str(observed), claimed == observed, witness
+
+
+def _diameter(n: int, truth: InvariantSet) -> CheckResult:
+    bound, observed = claims.structural(n).diameter_bound, truth.diameter
+    witness = f"some pair sits at distance {length_str(observed)}"
+    return f"<= {bound}", length_str(observed), observed <= bound, witness
+
+
+def _hamiltonian_composite(n: int, truth: InvariantSet) -> CheckResult:
+    if n < 4 or zn.is_prime(n):
+        raise NotApplicable("the claim covers composite n >= 4 only")
+    cycle = truth.hamiltonian_cycle
+    if not truth.hamiltonian:
+        witness = _ham_witness(n, truth)
+    elif cycle is not None:
+        witness = "cycle " + " ".join(str(v) for v in cycle)
+    else:
+        witness = None
+    observed = _is("hamiltonian", truth.hamiltonian)
+    return "hamiltonian", observed, truth.hamiltonian, witness
+
+
+def _hamiltonian_iff(n: int, truth: InvariantSet) -> CheckResult:
+    claimed = n not in (2, 3)
+    witness = _ham_witness(n, truth) + "; biconditional reading of the claim"
+    return (
+        _is("hamiltonian", claimed),
+        _is("hamiltonian", truth.hamiltonian),
+        claimed == truth.hamiltonian,
+        witness,
+    )
+
+
+def _bipartite_prime(n: int, truth: InvariantSet) -> CheckResult:
+    if not zn.is_prime(n):
+        raise NotApplicable("the claim covers prime n only")
+    observed = _is("bipartite", truth.bipartite)
+    return "bipartite", observed, truth.bipartite, "two-coloring fails"
+
+
+def _bipartite_composite(n: int, truth: InvariantSet) -> CheckResult:
+    if zn.is_prime(n):
+        raise NotApplicable("the claim covers composite n only")
+    observed = _is("bipartite", truth.bipartite)
+    return "not bipartite", observed, not truth.bipartite, "two-coloring succeeds"
+
+
+def _multipartite(n: int, truth: InvariantSet) -> CheckResult:
+    parts = zn.divisor_count(n)
+    ok = truth.multipartite and truth.partite_count == parts
+    witness = f"order classes: {parts}; distinct non-neighborhoods: {truth.partite_count}"
+    claimed = f"complete {parts}-partite on the order classes"
+    return claimed, _multipartite_str(truth), ok, witness
+
+
+def _semiprime(n: int, truth: InvariantSet) -> CheckResult:
     factors = zn.factorize(n)
     if len(factors) != 2 or any(e != 1 for e in factors.values()):
-        return _na(
-            TheoremId.C3_4,
-            n,
-            "n is not a product of two distinct primes",
-            obs.base_mode,
-        )
-    if obs.multipartite_ok:
-        observed = f"complete {obs.partite_count}-partite"
-    else:
-        observed = "adjacency deviates from the order-class pattern"
-    ok = obs.multipartite_ok and obs.partite_count == 4
-    return _compare(
-        TheoremId.C3_4,
-        n,
-        "complete 4-partite",
-        observed,
-        ok,
-        f"distinct non-neighborhoods: {obs.partite_count}",
-        obs.base_mode,
-    )
+        raise NotApplicable("n is not a product of two distinct primes")
+    ok = truth.multipartite and truth.partite_count == 4
+    witness = f"distinct non-neighborhoods: {truth.partite_count}"
+    return "complete 4-partite", _multipartite_str(truth), ok, witness
 
 
-def _audit_clique(n: int, obs: _Observed) -> TheoremVerdict:
-    if n == 2:
-        return _na(TheoremId.T4_1, n, "the claim assumes n > 2", obs.base_mode)
-    claimed = claims.clique_number(n)
-    if obs.clique is None:
-        return _skip(TheoremId.T4_1, n, str(claimed))
-    if obs.exact_mode == ORACLE and obs.clique_vertices:
-        found = " ".join(str(v) for v in obs.clique_vertices)
-        witness = f"exact search finds maximum clique {{{found}}} of size {obs.clique}"
+def _clique(n: int, truth: InvariantSet) -> CheckResult:
+    _needs_n_above_2(n)
+    claimed, observed = claims.clique_number(n), truth.clique_number
+    if truth.clique_vertices:
+        found = " ".join(str(v) for v in truth.clique_vertices)
+        witness = f"exact search finds maximum clique {{{found}}} of size {observed}"
     else:
         witness = (
-            f"one vertex from each of the {obs.clique} order classes "
-            f"is a maximum clique"
+            f"one vertex from each of the {observed} order classes is a maximum clique"
         )
-    return _compare(
-        TheoremId.T4_1,
-        n,
-        str(claimed),
-        str(obs.clique),
-        claimed == obs.clique,
-        witness,
-        obs.exact_mode,
-    )
+    return str(claimed), str(observed), claimed == observed, witness
 
 
-def _audit_chromatic(n: int, obs: _Observed) -> TheoremVerdict:
-    if n == 2:
-        return _na(TheoremId.T4_3, n, "the claim assumes n > 2", obs.base_mode)
-    claimed = claims.chromatic_number(n)
-    if obs.chromatic is None:
-        return _skip(TheoremId.T4_3, n, str(claimed))
-    if obs.exact_mode == ORACLE:
-        witness = f"exact search proves {obs.chromatic} colors necessary and sufficient"
+def _chromatic(n: int, truth: InvariantSet) -> CheckResult:
+    _needs_n_above_2(n)
+    claimed, observed = claims.chromatic_number(n), truth.chromatic_number
+    if truth.exact_tier == ORACLE:
+        witness = f"exact search proves {observed} colors necessary and sufficient"
     else:
-        witness = f"one color per order class: {obs.chromatic} colors, clique-tight"
-    return _compare(
-        TheoremId.T4_3,
-        n,
-        str(claimed),
-        str(obs.chromatic),
-        claimed == obs.chromatic,
-        witness,
-        obs.exact_mode,
-    )
+        witness = f"one color per order class: {observed} colors, clique-tight"
+    return str(claimed), str(observed), claimed == observed, witness
 
 
-def _audit_perfectness(n: int, obs: _Observed) -> TheoremVerdict:
-    if n == 2:
-        return _na(TheoremId.T4_4, n, "the claim assumes n > 2", obs.base_mode)
+def _perfectness(n: int, truth: InvariantSet) -> CheckResult:
+    _needs_n_above_2(n)
     claimed = claims.perfect_verdict(n)
-    if obs.clique is None or obs.chromatic is None:
-        return _skip(TheoremId.T4_4, n, claimed)
-    if obs.clique == obs.chromatic:
-        observed = claims.WEAKLY_PERFECT
-    else:
-        observed = claims.STRONGLY_PERFECT
+    clique, chromatic = truth.clique_number, truth.chromatic_number
+    observed = claims.WEAKLY_PERFECT if clique == chromatic else claims.STRONGLY_PERFECT
     witness = (
-        f"ground truth clique {obs.clique} chromatic {obs.chromatic}; equality is "
-        f"labeled weakly perfect by the audited definition (standard usage reversed)"
+        f"ground truth clique {clique} chromatic {chromatic}; equality is labeled "
+        f"weakly perfect by the audited definition (standard usage reversed)"
     )
-    status = Status.MATCH if claimed == observed else Status.MISMATCH
-    return TheoremVerdict(
-        TheoremId.T4_4, n, claimed, observed, status, witness, obs.exact_mode
-    )
+    return claimed, observed, claimed == observed, witness
+
+
+CLAIMS: tuple[Claim, ...] = (
+    Claim(TheoremId.L2_5, "involution count is 1 for odd n, 2 for even n", _involutions),
+    Claim(TheoremId.L2_6, "count outside units and involutions, cases as printed",
+          partial(_neither, swapped=False)),
+    Claim(TheoremId.L2_6_SWAPPED, "the same count with the even/odd cases exchanged",
+          partial(_neither, swapped=True)),
+    Claim(TheoremId.T2_4, "the graph is connected", _connected),
+    Claim(TheoremId.T2_7, "degrees: n-1 / n-phi(n) / phi(n)+2 or phi(n)+1 by case",
+          _degrees),
+    Claim(TheoremId.T2_10, "edge-count formula in n and phi(n)", _edges),
+    Claim(TheoremId.T2_12, "never complete for n > 2", _never_complete),
+    Claim(TheoremId.C2_13, "complete exactly when n = 2", _complete_iff),
+    Claim(TheoremId.T2_14, "star graph exactly when n is prime", _star),
+    Claim(TheoremId.T2_15, "girth is 3 for composite n, infinite for prime n", _girth),
+    Claim(TheoremId.T2_16, "diameter is at most 2", _diameter),
+    Claim(TheoremId.T2_17, "hamiltonian for every composite n >= 4",
+          _hamiltonian_composite, tier="hamiltonian_tier", witness_on_match=True),
+    Claim(TheoremId.R2_18, "non-hamiltonian exactly for n in {2, 3} (iff reading)",
+          _hamiltonian_iff, tier="hamiltonian_tier"),
+    Claim(TheoremId.T3_1, "bipartite for prime n", _bipartite_prime),
+    Claim(TheoremId.T3_2, "not bipartite for composite n", _bipartite_composite),
+    Claim(TheoremId.T3_3, "complete multipartite on the order classes", _multipartite),
+    Claim(TheoremId.C3_4, "complete 4-partite when n is a product of two primes",
+          _semiprime),
+    Claim(TheoremId.T4_1, "clique-number formula in n, phi(n) and the involution count",
+          _clique, tier="exact_tier"),
+    Claim(TheoremId.T4_3,
+          "chromatic-number formula in n, phi(n) and the involution count",
+          _chromatic, tier="exact_tier"),
+    Claim(TheoremId.T4_4,
+          "perfectness verdict from the claimed formulas (inverted terms)",
+          _perfectness, tier="exact_tier", witness_on_match=True),
+)
+
+_SKIP_REASON = "oracle limit exceeded and closed-form fallback disabled"
+
+
+def _verdict(
+    claim: Claim, n: int, truth: InvariantSet, fallback: bool
+) -> TheoremVerdict:
+    """NOT_APPLICABLE first, then SKIPPED_ORACLE_LIMIT, then MATCH or MISMATCH."""
+    try:
+        claimed, observed, ok, witness = claim.check(n, truth)
+    except NotApplicable as reason:
+        return TheoremVerdict(
+            claim.theorem, n, "", "", Status.NOT_APPLICABLE, str(reason), truth.tier
+        )
+    tier = getattr(truth, claim.tier)
+    if tier == CLOSED_FORM and not fallback:
+        skipped = Status.SKIPPED_ORACLE_LIMIT
+        return TheoremVerdict(claim.theorem, n, claimed, "", skipped, _SKIP_REASON, ORACLE)
+    status = Status.MATCH if ok else Status.MISMATCH
+    if ok and not claim.witness_on_match:
+        witness = None
+    return TheoremVerdict(claim.theorem, n, claimed, observed, status, witness, tier)
 
 
 def audit_n(n: int, config: AuditConfig | None = None) -> list[TheoremVerdict]:
     """All twenty verdicts for one modulus, in TheoremId order."""
     zn.check_modulus(n)
     cfg = config or AuditConfig()
-    obs = _observe(n, cfg)
-    verdicts = [
-        _audit_involution_count(n, obs),
-        _audit_neither_count(TheoremId.L2_6, False, n, obs),
-        _audit_neither_count(TheoremId.L2_6_SWAPPED, True, n, obs),
-        _audit_connected(n, obs),
-        _audit_degrees(n, obs),
-        _audit_edge_count(n, obs),
-        _audit_never_complete(n, obs),
-        _audit_complete_iff(n, obs),
-        _audit_star(n, obs),
-        _audit_girth(n, obs),
-        _audit_diameter(n, obs),
-        _audit_hamiltonian_composite(n, obs),
-        _audit_hamiltonian_iff(n, obs),
-        _audit_bipartite_prime(n, obs),
-        _audit_bipartite_composite(n, obs),
-        _audit_multipartite(n, obs),
-        _audit_semiprime(n, obs),
-        _audit_clique(n, obs),
-        _audit_chromatic(n, obs),
-        _audit_perfectness(n, obs),
-    ]
-    if not cfg.closed_form_fallback:
-        verdicts = [
-            v
-            if v.status in (Status.NOT_APPLICABLE, Status.SKIPPED_ORACLE_LIMIT)
-            or v.ground_truth != CLOSED_FORM
-            else _skip(v.theorem, n, v.claimed)
-            for v in verdicts
-        ]
-    return verdicts
+    truth = ground_truth(n, cfg)
+    return [_verdict(claim, n, truth, cfg.closed_form_fallback) for claim in CLAIMS]
 
 
 # -- sweeping --------------------------------------------------------------
@@ -688,23 +442,18 @@ def audit_n(n: int, config: AuditConfig | None = None) -> list[TheoremVerdict]:
 def _summarize(
     results: tuple[tuple[TheoremVerdict, ...], ...]
 ) -> dict[TheoremId, TheoremSummary]:
+    """Per-claim counts; each n's verdicts come in CLAIMS order."""
     summary: dict[TheoremId, TheoremSummary] = {}
-    for theorem in TheoremId:
-        holds = fails = skipped = 0
-        first: int | None = None
-        for verdicts in results:
-            for v in verdicts:
-                if v.theorem is not theorem:
-                    continue
-                if v.status is Status.MATCH:
-                    holds += 1
-                elif v.status is Status.MISMATCH:
-                    fails += 1
-                    if first is None:
-                        first = v.n
-                elif v.status is Status.SKIPPED_ORACLE_LIMIT:
-                    skipped += 1
-        summary[theorem] = TheoremSummary(holds, fails, skipped, first)
+    for i, claim in enumerate(CLAIMS):
+        column = [verdicts[i] for verdicts in results]
+        counts = Counter(v.status for v in column)
+        first = next((v.n for v in column if v.status is Status.MISMATCH), None)
+        summary[claim.theorem] = TheoremSummary(
+            counts[Status.MATCH],
+            counts[Status.MISMATCH],
+            counts[Status.SKIPPED_ORACLE_LIMIT],
+            first,
+        )
     return summary
 
 
@@ -745,12 +494,7 @@ def render_report(report: SweepReport, fmt: str) -> str:
 def _render_json(report: SweepReport) -> str:
     payload = {
         "range": [report.lo, report.hi],
-        "config": {
-            "oracle_build_limit": report.config.oracle_build_limit,
-            "exact_search_limit": report.config.exact_search_limit,
-            "hamiltonian_limit": report.config.hamiltonian_limit,
-            "closed_form_fallback": report.config.closed_form_fallback,
-        },
+        "config": asdict(report.config),
         "results": [
             {
                 "n": verdicts[0].n,
@@ -800,11 +544,11 @@ def _render_markdown(report: SweepReport) -> str:
         "| claim | statement | holds | fails | skipped | first counterexample |",
         "| --- | --- | --- | --- | --- | --- |",
     ]
-    for theorem in TheoremId:
-        s = report.summary[theorem]
+    for claim in CLAIMS:
+        s = report.summary[claim.theorem]
         first = str(s.first_counterexample) if s.first_counterexample else "-"
         lines.append(
-            f"| {theorem.value} | {GLOSS[theorem]} | {s.holds} | {s.fails} "
+            f"| {claim.theorem.value} | {claim.gloss} | {s.holds} | {s.fails} "
             f"| {s.skipped} | {first} |"
         )
     mismatch_lines = []

@@ -1,4 +1,4 @@
-"""Command-line front end: invariants, audits, exports, benchmarks.
+"""Command-line front end: invariants, audits and exports.
 
 Exit codes are a stable scripting contract: 0 on success, 1 for usage
 or capacity errors on required operations, 2 when --strict finds a
@@ -11,13 +11,10 @@ import argparse
 import json
 import os
 import sys
-import time
-from collections import Counter
-from dataclasses import dataclass
 
 from indegraph import closed_form, oracle, zn
-from indegraph.audit import AuditConfig, is_star_profile, render_report, sweep
-from indegraph.invariants import InvariantSet, length_str
+from indegraph.audit import AuditConfig, render_report, sweep
+from indegraph.invariants import length_str, profile_str
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,47 +35,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    oracle_build_limit: int = oracle.DEFAULT_BUILD_LIMIT
-    exact_search_limit: int = oracle.DEFAULT_EXACT_SEARCH_LIMIT
-    hamiltonian_limit: int = oracle.DEFAULT_HAMILTONIAN_LIMIT
-    jobs: int = 1
-
-    def __post_init__(self) -> None:
-        for name in ("oracle_build_limit", "exact_search_limit", "hamiltonian_limit"):
-            if getattr(self, name) < 2:
-                raise ValueError(f"{name} must be at least 2")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
-
-    def audit_config(self) -> AuditConfig:
-        return AuditConfig(
-            oracle_build_limit=self.oracle_build_limit,
-            exact_search_limit=self.exact_search_limit,
-            hamiltonian_limit=self.hamiltonian_limit,
-        )
-
-
-def _env_int(name: str) -> int | None:
-    raw = os.environ.get(name, "")
+def _pick(flag_value: int | None, env_name: str, default: int) -> int:
+    """The flag if given, else the environment variable if set, else the default."""
+    if flag_value is not None:
+        return flag_value
+    raw = os.environ.get(env_name, "")
     if not raw:
-        return None
+        return default
     try:
         return int(raw)
     except ValueError:
-        raise ValueError(f"{name} must be an integer, got {raw!r}") from None
+        raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
 
 
-def _pick(flag_value: int | None, env_name: str, default: int) -> int:
-    if flag_value is not None:
-        return flag_value
-    env_value = _env_int(env_name)
-    return default if env_value is None else env_value
-
-
-def _config_from(args: argparse.Namespace) -> CliConfig:
-    return CliConfig(
+def _config_from(args: argparse.Namespace) -> AuditConfig:
+    return AuditConfig(
         oracle_build_limit=_pick(
             args.oracle_limit, _ENV_ORACLE, oracle.DEFAULT_BUILD_LIMIT
         ),
@@ -88,60 +59,29 @@ def _config_from(args: argparse.Namespace) -> CliConfig:
         hamiltonian_limit=_pick(
             args.ham_limit, _ENV_HAMILTONIAN, oracle.DEFAULT_HAMILTONIAN_LIMIT
         ),
-        jobs=_pick(getattr(args, "jobs", None), _ENV_JOBS, os.cpu_count() or 1),
     )
 
 
 # -- info --------------------------------------------------------------------
 
 
-def _profile(counts: tuple[tuple[int, int], ...]) -> str:
-    return " ".join(f"{deg}x{cnt}" for deg, cnt in counts)
-
-
-def _info_rows(n: int, inv: InvariantSet) -> list[tuple[str, object]]:
-    return [
-        ("vertices", n),
-        ("edges", inv.edge_count),
-        ("parts", inv.partite_count),
-        ("degrees", inv.degree_counts),
-        ("connected", inv.connected),
-        ("complete", closed_form.is_complete(n)),
-        ("star", zn.is_prime(n)),
-        ("bipartite", inv.bipartite),
-        ("girth", inv.girth),
-        ("diameter", inv.diameter),
-        ("clique", inv.clique_number),
-        ("chromatic", inv.chromatic_number),
-        ("hamiltonian", inv.hamiltonian),
-    ]
-
-
-def _oracle_rows(
-    n: int, config: CliConfig
-) -> dict[str, object]:
-    graph = oracle.build(n, limit=config.oracle_build_limit)
-    ground = oracle.invariants(
-        graph,
-        exact_limit=config.exact_search_limit,
-        hamiltonian_limit=config.hamiltonian_limit,
-    )
-    counts = Counter(graph.degrees())
-    return {
-        "vertices": n,
-        "edges": ground.edge_count,
-        "parts": ground.partite_count,
-        "degrees": ground.degree_counts,
-        "connected": ground.connected,
-        "complete": ground.edge_count == n * (n - 1) // 2,
-        "star": is_star_profile(n, counts),
-        "bipartite": ground.bipartite,
-        "girth": ground.girth,
-        "diameter": ground.diameter,
-        "clique": ground.clique_number,
-        "chromatic": ground.chromatic_number,
-        "hamiltonian": ground.hamiltonian,
-    }
+# (label, InvariantSet field): the rows `info` prints, and on --verify
+# compares with the oracle's record.
+_INFO_ROWS = (
+    ("vertices", "n"),
+    ("edges", "edge_count"),
+    ("parts", "partite_count"),
+    ("degrees", "degree_counts"),
+    ("connected", "connected"),
+    ("complete", "complete"),
+    ("star", "star"),
+    ("bipartite", "bipartite"),
+    ("girth", "girth"),
+    ("diameter", "diameter"),
+    ("clique", "clique_number"),
+    ("chromatic", "chromatic_number"),
+    ("hamiltonian", "hamiltonian"),
+)
 
 
 def _show(value: object) -> str:
@@ -150,7 +90,7 @@ def _show(value: object) -> str:
     if value is None:
         return "-"
     if isinstance(value, tuple):
-        return _profile(value)
+        return profile_str(value)
     if isinstance(value, (int, float)):
         return length_str(value)
     return str(value)
@@ -164,23 +104,27 @@ def _json_value(value: object) -> object:
     return value
 
 
-def _cmd_info(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_info(args: argparse.Namespace, config: AuditConfig) -> int:
     n = args.n
     zn.check_modulus(n)
     inv = closed_form.invariants(n)
-    rows = _info_rows(n, inv)
+    rows = [(name, getattr(inv, field)) for name, field in _INFO_ROWS]
 
     checks: dict[str, dict[str, object]] = {}
     capacity_note = None
     disagreements = 0
     if args.verify:
         if n <= config.oracle_build_limit:
-            ground = _oracle_rows(n, config)
-            for name, value in rows:
-                truth = ground[name]
+            ground = oracle.invariants(
+                oracle.build(n, limit=config.oracle_build_limit),
+                exact_limit=config.exact_search_limit,
+                hamiltonian_limit=config.hamiltonian_limit,
+            )
+            for name, field in _INFO_ROWS:
+                truth = getattr(ground, field)
                 if truth is None:
                     checks[name] = {"status": "skipped", "oracle": None}
-                elif truth == value:
+                elif truth == getattr(inv, field):
                     checks[name] = {"status": "agree", "oracle": _json_value(truth)}
                 else:
                     checks[name] = {"status": "disagree", "oracle": _json_value(truth)}
@@ -219,16 +163,17 @@ def _cmd_info(args: argparse.Namespace, config: CliConfig) -> int:
 # -- audit / sweep -----------------------------------------------------------
 
 
-def _cmd_audit(args: argparse.Namespace, config: CliConfig) -> int:
-    report = sweep(args.n, args.n, config.audit_config(), jobs=1)
+def _cmd_audit(args: argparse.Namespace, config: AuditConfig) -> int:
+    report = sweep(args.n, args.n, config, jobs=1)
     print(render_report(report, "md"))
     if args.strict and report.has_mismatch():
         return EXIT_STRICT
     return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace, config: CliConfig) -> int:
-    report = sweep(args.lo, args.hi, config.audit_config(), jobs=config.jobs)
+def _cmd_sweep(args: argparse.Namespace, config: AuditConfig) -> int:
+    jobs = _pick(args.jobs, _ENV_JOBS, os.cpu_count() or 1)
+    report = sweep(args.lo, args.hi, config, jobs=jobs)
     print(render_report(report, args.format))
     if args.strict and report.has_mismatch():
         return EXIT_STRICT
@@ -259,7 +204,7 @@ def render_json_graph(graph: oracle.IndependentGraph) -> str:
     return json.dumps(payload) + "\n"
 
 
-def _cmd_export(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_export(args: argparse.Namespace, config: AuditConfig) -> int:
     graph = oracle.build(args.n, limit=config.oracle_build_limit)
     if args.format == "dot":
         text = render_dot(graph, label_orders=args.label_orders)
@@ -282,7 +227,7 @@ def _cmd_export(args: argparse.Namespace, config: CliConfig) -> int:
 # -- hamiltonian -------------------------------------------------------------
 
 
-def _cmd_hamiltonian(args: argparse.Namespace, config: CliConfig) -> int:
+def _cmd_hamiltonian(args: argparse.Namespace, config: AuditConfig) -> int:
     n = args.n
     zn.check_modulus(n)
     predicted = closed_form.is_hamiltonian(n)
@@ -294,38 +239,6 @@ def _cmd_hamiltonian(args: argparse.Namespace, config: CliConfig) -> int:
     graph = oracle.build(n, limit=config.oracle_build_limit)
     cycle = oracle.find_hamiltonian_cycle(graph, limit=config.hamiltonian_limit)
     print("NONE" if cycle is None else " ".join(str(v) for v in cycle))
-    return EXIT_OK
-
-
-# -- bench -------------------------------------------------------------------
-
-
-def _micros(fn) -> int:
-    start = time.perf_counter_ns()
-    fn()
-    return (time.perf_counter_ns() - start) // 1000
-
-
-def _cmd_bench(args: argparse.Namespace, config: CliConfig) -> int:
-    lo, hi = args.lo, args.hi
-    if lo < 2 or hi < lo:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    print("n,cf_micros,oracle_micros")
-    for n in range(lo, hi + 1):
-        cf_us = _micros(lambda: closed_form.invariants(n))
-        if n <= config.oracle_build_limit:
-            oracle_us = str(
-                _micros(
-                    lambda: oracle.invariants(
-                        oracle.build(n, limit=config.oracle_build_limit),
-                        exact_limit=config.exact_search_limit,
-                        hamiltonian_limit=config.hamiltonian_limit,
-                    )
-                )
-            )
-        else:
-            oracle_us = "SKIPPED"
-        print(f"{n},{cf_us},{oracle_us}")
     return EXIT_OK
 
 
@@ -406,12 +319,6 @@ def build_parser() -> _Parser:
     )
     p_ham.add_argument("n", type=int)
 
-    p_bench = sub.add_parser(
-        "bench", help="time closed-form invariants against the oracle"
-    )
-    p_bench.add_argument("lo", type=int)
-    p_bench.add_argument("hi", type=int)
-
     return parser
 
 
@@ -421,7 +328,6 @@ _HANDLERS = {
     "sweep": _cmd_sweep,
     "export": _cmd_export,
     "hamiltonian": _cmd_hamiltonian,
-    "bench": _cmd_bench,
 }
 
 

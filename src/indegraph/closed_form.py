@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from indegraph.invariants import INFINITE, InvariantSet
+from indegraph.invariants import CLOSED_FORM, INFINITE, InvariantSet, is_star_profile
 from indegraph.zn import (
     check_modulus,
     check_residue,
@@ -114,16 +114,30 @@ def invariants(n: int) -> InvariantSet:
     """The full record, from one (d, phi(d)) table. No graph is built."""
     check_modulus(n)
     parts = divisor_phis(n)
+    counts = degree_counts_of_parts(n, parts)
+    involutions = 2 if n % 2 == 0 else 1
     return InvariantSet(
         n=n,
+        tier=CLOSED_FORM,
+        involutions=involutions,
+        neither=0 if n == 2 else n - euler_phi(n) - involutions,
         edge_count=edge_count_of_parts(n, parts),
-        degree_counts=degree_counts_of_parts(n, parts),
+        degree_counts=counts,
+        order_classes=tuple(parts),
+        degree_items=None,
         connected=True,
+        complete=is_complete(n),
+        star=is_star_profile(n, dict(counts)),
         girth=girth(n),
         diameter=diameter(n),
         bipartite=is_bipartite(n),
         partite_count=len(parts),
+        multipartite=True,
+        exact_tier=CLOSED_FORM,
         clique_number=len(parts),
+        clique_vertices=None,
         chromatic_number=len(parts),
+        hamiltonian_tier=CLOSED_FORM,
         hamiltonian=is_hamiltonian(n),
+        hamiltonian_cycle=None,
     )

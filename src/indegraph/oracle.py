@@ -17,8 +17,14 @@ from functools import cached_property
 from math import gcd, inf
 from typing import Iterator
 
-from indegraph.invariants import INFINITE, InvariantSet
-from indegraph.zn import CapacityError, OrderDecomposition, check_modulus
+from indegraph.invariants import INFINITE, ORACLE, InvariantSet, is_star_profile
+from indegraph.zn import (
+    CapacityError,
+    OrderDecomposition,
+    check_modulus,
+    order_decomposition,
+    special_sets,
+)
 
 DEFAULT_BUILD_LIMIT = 20_000
 DEFAULT_EXACT_SEARCH_LIMIT = 64
@@ -473,25 +479,48 @@ def invariants(
     exact_limit: int = DEFAULT_EXACT_SEARCH_LIMIT,
     hamiltonian_limit: int = DEFAULT_HAMILTONIAN_LIMIT,
 ) -> InvariantSet:
-    """Every invariant the oracle can afford; NP-hard ones may be None."""
-    counts = Counter(graph.degrees())
-    clique = chromatic = None
-    if graph.n <= exact_limit:
-        clique = clique_number(graph, limit=exact_limit)
+    """Every fact the oracle can afford, read off the graph.
+
+    A search beyond its limit (clique and chromatic number, or a
+    Hamiltonian cycle) is declined: its fields and its tier are None.
+    """
+    n = graph.n
+    degs = graph.degrees()
+    counts = Counter(degs)
+    edge_count = graph.edge_count()
+    sets = special_sets(n)
+    clique_vertices = chromatic = exact_tier = None
+    if n <= exact_limit:
+        clique_vertices = max_clique(graph, limit=exact_limit)
         chromatic = chromatic_number(graph, limit=exact_limit)
-    hamiltonian = None
-    if graph.n <= hamiltonian_limit:
-        hamiltonian = find_hamiltonian_cycle(graph, limit=hamiltonian_limit) is not None
+        exact_tier = ORACLE
+    cycle = hamiltonian = hamiltonian_tier = None
+    if n <= hamiltonian_limit:
+        cycle = find_hamiltonian_cycle(graph, limit=hamiltonian_limit)
+        hamiltonian = cycle is not None
+        hamiltonian_tier = ORACLE
     return InvariantSet(
-        n=graph.n,
-        edge_count=graph.edge_count(),
+        n=n,
+        tier=ORACLE,
+        involutions=len(sets.involutions),
+        neither=len(sets.neither),
+        edge_count=edge_count,
         degree_counts=tuple(sorted(counts.items(), reverse=True)),
+        order_classes=tuple(sorted(Counter(graph.orders).items())),
+        degree_items=tuple((a, graph.orders[a], degs[a], 1) for a in range(n)),
         connected=graph.is_connected(),
+        complete=edge_count == n * (n - 1) // 2,
+        star=is_star_profile(n, counts),
         girth=graph.girth(),
         diameter=graph.diameter(),
         bipartite=graph.is_bipartite(),
         partite_count=graph.partite_count(),
-        clique_number=clique,
+        multipartite=verify_complete_multipartite(graph, order_decomposition(n)),
+        exact_tier=exact_tier,
+        clique_number=None if clique_vertices is None else len(clique_vertices),
+        clique_vertices=clique_vertices,
         chromatic_number=chromatic,
+        hamiltonian_tier=hamiltonian_tier,
         hamiltonian=hamiltonian,
+        hamiltonian_cycle=cycle,
     )

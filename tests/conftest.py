@@ -16,8 +16,8 @@ from math import inf
 
 import pytest
 
-from indegraph import audit, closed_form, zn
-from indegraph.invariants import InvariantSet
+from indegraph import closed_form, zn
+from indegraph.invariants import CLOSED_FORM, InvariantSet, is_star_profile
 
 
 def naive_phi(n: int) -> int:
@@ -212,63 +212,33 @@ def empty_factorize_cache():
 def per_divisor_invariants(n: int) -> InvariantSet:
     """closed_form.invariants(n), factoring every divisor of n on its own."""
     divs = zn.divisors(n)
+    sizes = [zn.euler_phi(d) for d in divs]
     counts: Counter[int] = Counter()
-    for d in divs:
-        size = zn.euler_phi(d)
+    for size in sizes:
         counts[n - size] += size
-    squares = sum(zn.euler_phi(d) ** 2 for d in divs)
+    involutions = 2 if n % 2 == 0 else 1
     return InvariantSet(
         n=n,
-        edge_count=(n * n - squares) // 2,
-        degree_counts=tuple(sorted(counts.items(), reverse=True)),
-        connected=True,
-        girth=closed_form.girth(n),
-        diameter=closed_form.diameter(n),
-        bipartite=closed_form.is_bipartite(n),
-        partite_count=len(divs),
-        clique_number=len(divs),
-        chromatic_number=len(divs),
-        hamiltonian=closed_form.is_hamiltonian(n),
-    )
-
-
-def per_divisor_observed(n: int, config: audit.AuditConfig) -> audit._Observed:
-    """The closed-form tier's facts for audit_n, one euler_phi(d) per divisor.
-
-    Covers n beyond every limit in `config`, with the fallback on.
-    """
-    assert n > max(config.oracle_build_limit, config.exact_search_limit,
-                   config.hamiltonian_limit)
-    assert config.closed_form_fallback
-    divs = zn.divisors(n)
-    involutions = 2 if n % 2 == 0 else 1
-    items = tuple(
-        ((n // d) % n, d, n - zn.euler_phi(d), zn.euler_phi(d)) for d in divs
-    )
-    counts: Counter[int] = Counter()
-    for _, _, deg, size in items:
-        counts[deg] += size
-    return audit._Observed(
-        n=n,
-        base_mode=audit.CLOSED_FORM,
+        tier=CLOSED_FORM,
         involutions=involutions,
         neither=0 if n == 2 else n - zn.euler_phi(n) - involutions,
-        edge_count=per_divisor_invariants(n).edge_count,
+        edge_count=(n * n - sum(size * size for size in sizes)) // 2,
+        degree_counts=tuple(sorted(counts.items(), reverse=True)),
+        order_classes=tuple(zip(divs, sizes)),
+        degree_items=None,
         connected=True,
+        complete=closed_form.is_complete(n),
+        star=is_star_profile(n, counts),
         girth=closed_form.girth(n),
         diameter=closed_form.diameter(n),
         bipartite=closed_form.is_bipartite(n),
-        complete=closed_form.is_complete(n),
-        star=audit.is_star_profile(n, counts),
         partite_count=len(divs),
-        multipartite_ok=True,
-        degree_items=items,
-        clique=len(divs),
+        multipartite=True,
+        exact_tier=CLOSED_FORM,
+        clique_number=len(divs),
         clique_vertices=None,
-        chromatic=len(divs),
-        exact_mode=audit.CLOSED_FORM,
+        chromatic_number=len(divs),
+        hamiltonian_tier=CLOSED_FORM,
         hamiltonian=closed_form.is_hamiltonian(n),
         hamiltonian_cycle=None,
-        ham_mode=audit.CLOSED_FORM,
     )
-

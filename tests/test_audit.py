@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -13,7 +14,7 @@ from indegraph.audit import (
     sweep,
 )
 
-from conftest import SMOOTH_MODULI, per_divisor_observed
+from conftest import SMOOTH_MODULI, per_divisor_invariants
 
 
 def verdict(verdicts, theorem):
@@ -24,6 +25,15 @@ def test_audit_order_and_coverage():
     verdicts = audit_n(6)
     assert [v.theorem for v in verdicts] == list(TheoremId)
     assert all(v.n == 6 for v in verdicts)
+
+
+@pytest.mark.parametrize(
+    "field", ("oracle_build_limit", "exact_search_limit", "hamiltonian_limit")
+)
+def test_config_limits_are_at_least_two(field):
+    with pytest.raises(ValueError, match=field):
+        AuditConfig(**{field: 1})
+    assert getattr(AuditConfig(**{field: 2}), field) == 2
 
 
 def test_audit_rejects_bad_modulus():
@@ -123,6 +133,18 @@ def test_sweep_parallel_equals_serial():
     assert serial.summary == parallel.summary
 
 
+def test_oracle_tier_never_calls_the_closed_forms(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("closed form called inside the oracle's limits")
+
+    for name, value in vars(closed_form).items():
+        if (inspect.isfunction(value) and not name.startswith("_")
+                and value.__module__ == closed_form.__name__):
+            monkeypatch.setattr(closed_form, name, refuse)
+    for n in range(2, 25):
+        assert {v.ground_truth for v in audit_n(n)} == {"ORACLE"}
+
+
 def test_ground_truth_tiers():
     config = AuditConfig(oracle_build_limit=8, exact_search_limit=8,
                          hamiltonian_limit=8)
@@ -169,7 +191,12 @@ def test_closed_form_tier_matches_oracle_tier_on_sampled_n(n):
 def test_closed_form_audit_matches_per_divisor_reference(n, monkeypatch):
     verdicts = audit_n(n)
     assert {v.ground_truth for v in verdicts} == {"CLOSED_FORM"}
-    monkeypatch.setattr(audit, "_observe", per_divisor_observed)
+
+    def reference(m, config):
+        assert m > config.oracle_build_limit
+        return per_divisor_invariants(m)
+
+    monkeypatch.setattr(audit, "ground_truth", reference)
     assert verdicts == audit_n(n)
 
 

@@ -145,26 +145,6 @@ def test_hamiltonian_outputs(capsys):
     assert out.startswith("prediction: hamiltonian\n")
 
 
-def test_bench_csv_shape(capsys):
-    code, out, _ = run(capsys, "bench", "2", "5")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "n,cf_micros,oracle_micros"
-    assert len(lines) == 5
-    for line in lines[1:]:
-        n, cf_us, oracle_us = line.split(",")
-        assert int(cf_us) >= 0 and int(oracle_us) >= 0
-
-
-def test_bench_skips_oracle_beyond_limit(capsys):
-    code, out, _ = run(capsys, "--oracle-limit", "3", "bench", "2", "5")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[1].split(",")[2] != "SKIPPED"
-    assert lines[3].split(",")[2] == "SKIPPED"
-    assert lines[4].split(",")[2] == "SKIPPED"
-
-
 def test_env_limits_and_flag_precedence(capsys, monkeypatch):
     monkeypatch.setenv("INDEGRAPH_ORACLE_LIMIT", "10")
     code, _, err = run(capsys, "export", "50", "--format", "dot")
@@ -186,6 +166,24 @@ def test_jobs_env_used_by_sweep(capsys, monkeypatch):
     code, out, _ = run(capsys, "sweep", "2", "6", "--format", "csv")
     assert code == 0
     assert out.split("\n")[1].startswith("2,")
+
+
+def test_jobs_env_read_by_sweep_only(capsys, monkeypatch):
+    monkeypatch.setenv("INDEGRAPH_JOBS", "0")
+    code, _, _ = run(capsys, "info", "6")
+    assert code == 0
+    code, _, err = run(capsys, "sweep", "2", "6")
+    assert code == 1
+    assert "jobs" in err
+
+
+def test_bad_limits_and_jobs_exit_one(capsys):
+    code, _, err = run(capsys, "--exact-limit", "1", "info", "6")
+    assert code == 1
+    assert "exact_search_limit" in err
+    code, _, err = run(capsys, "sweep", "2", "6", "--jobs", "0")
+    assert code == 1
+    assert "jobs" in err
 
 
 def test_usage_errors_exit_one():

@@ -1,3 +1,4 @@
+import ast
 import math
 
 import pytest
@@ -300,3 +301,18 @@ def test_invariants_aggregator_limits():
     assert small.hamiltonian is True
     assert small.degree_counts == ((5, 2), (4, 4))
     assert math.isinf(oracle.invariants(oracle.build(3)).girth)
+
+
+def test_oracle_imports_neither_closed_forms_nor_claims():
+    tree = ast.parse(open(oracle.__file__, encoding="utf-8").read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(f"{node.module}.{alias.name}" for alias in node.names)
+    assert imported
+    for name in imported:
+        assert "closed_form" not in name.split("."), name
+        assert "claims" not in name.split("."), name
