@@ -1,8 +1,10 @@
 """Naive reference implementations the tests compare against.
 
-Everything down to the closed-form section recomputes from first
-principles (definition chasing, exhaustive search) and shares no code
-with the package, so agreement is meaningful. The closed-form section
+Everything down to the closed-form section shares no code with the
+package, so agreement is meaningful. Most of it recomputes from first
+principles (definition chasing, exhaustive search); one section keeps
+the oracle's full-graph searches that the false-twin quotient replaced,
+so the quotient is checked against both. The closed-form section
 keeps the per-divisor formulas that the (d, phi(d)) table replaced:
 they call zn.euler_phi and zn.divisors, which the first-principles
 references check. Keep these slow and obvious.
@@ -84,9 +86,8 @@ def _adjacency(n: int) -> list[list[bool]]:
     return [[naive_adjacent(a, b, n) for b in range(n)] for a in range(n)]
 
 
-def naive_distances(n: int) -> list[list[float]]:
-    """All-pairs shortest paths, Floyd-Warshall."""
-    adj = _adjacency(n)
+def _floyd_warshall(adj: list[list[bool]]) -> list[list[float]]:
+    n = len(adj)
     dist = [[0.0 if a == b else (1.0 if adj[a][b] else inf) for b in range(n)] for a in range(n)]
     for k in range(n):
         for i in range(n):
@@ -96,9 +97,17 @@ def naive_distances(n: int) -> list[list[float]]:
     return dist
 
 
+def naive_distances(n: int) -> list[list[float]]:
+    """All-pairs shortest paths, Floyd-Warshall."""
+    return _floyd_warshall(_adjacency(n))
+
+
+def _max_distance(dist: list[list[float]]) -> float:
+    return max((d for row in dist for d in row), default=0)
+
+
 def naive_diameter(n: int) -> float:
-    dist = naive_distances(n)
-    return max(dist[a][b] for a in range(n) for b in range(n))
+    return _max_distance(naive_distances(n))
 
 
 def naive_connected(n: int) -> bool:
@@ -141,12 +150,161 @@ def naive_girth(n: int) -> float:
     return _girth_by_edge_deletion(_adjacency(n))
 
 
-def naive_girth_of_rows(rows: tuple[int, ...]) -> float:
-    """Girth of any simple graph given as neighbor bitmasks."""
+# -- any simple graph, given as neighbor bitmasks ----------------------------
+
+
+def _rows_adjacency(rows: tuple[int, ...]) -> list[list[bool]]:
     n = len(rows)
-    return _girth_by_edge_deletion(
-        [[bool(rows[a] >> b & 1) for b in range(n)] for a in range(n)]
+    return [[bool(rows[a] >> b & 1) for b in range(n)] for a in range(n)]
+
+
+def naive_girth_of_rows(rows: tuple[int, ...]) -> float:
+    return _girth_by_edge_deletion(_rows_adjacency(rows))
+
+
+def naive_diameter_of_rows(rows: tuple[int, ...]) -> float:
+    """Largest Floyd-Warshall distance, inf when some pair is unreachable."""
+    return _max_distance(_floyd_warshall(_rows_adjacency(rows)))
+
+
+def naive_component_count_of_rows(rows: tuple[int, ...]) -> int:
+    """Union-find over the edges: one merge per edge joining two components."""
+    adj = _rows_adjacency(rows)
+    n = len(adj)
+    parent = list(range(n))
+
+    def root(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    count = n
+    for a in range(n):
+        for b in range(a + 1, n):
+            if adj[a][b] and root(a) != root(b):
+                parent[root(a)] = root(b)
+                count -= 1
+    return count
+
+
+def naive_bipartite_of_rows(rows: tuple[int, ...]) -> bool:
+    """Two-color by depth-first search; a bipartite graph never clashes.
+
+    Each uncolored vertex starts a component with color 0, and every
+    neighbor is forced to the other color. The graph is bipartite
+    exactly when no edge joins two vertices of one color.
+    """
+    adj = _rows_adjacency(rows)
+    n = len(adj)
+    color = [-1] * n
+    for start in range(n):
+        if color[start] >= 0:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            a = stack.pop()
+            for b in range(n):
+                if adj[a][b] and color[b] < 0:
+                    color[b] = 1 - color[a]
+                    stack.append(b)
+    return all(
+        color[a] != color[b] for a in range(n) for b in range(n) if adj[a][b]
     )
+
+
+# -- the oracle's full-graph algorithms, before the false-twin quotient -------
+#
+# The oracle reads connectivity, diameter and bipartiteness off the
+# quotient by equal rows. These are the bitset searches it ran on all n
+# vertices before; the family-wide tests require equal answers.
+
+
+def _iter_bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach(rows: tuple[int, ...], start: int) -> int:
+    visited = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for v in _iter_bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~visited
+        visited |= frontier
+    return visited
+
+
+def unreduced_component_count(rows: tuple[int, ...]) -> int:
+    full = (1 << len(rows)) - 1
+    seen = 0
+    count = 0
+    while seen != full:
+        rest = full & ~seen
+        seen |= _reach(rows, (rest & -rest).bit_length() - 1)
+        count += 1
+    return count
+
+
+def unreduced_diameter(rows: tuple[int, ...]) -> float:
+    """A bitset BFS from every vertex, INFINITE at the first stall."""
+    full = (1 << len(rows)) - 1
+    best = 0
+    for s in range(len(rows)):
+        visited = frontier = 1 << s
+        ecc = 0
+        while visited != full:
+            nxt = 0
+            for v in _iter_bits(frontier):
+                nxt |= rows[v]
+                if visited | nxt == full:
+                    break
+            nxt &= ~visited
+            if not nxt:
+                return inf
+            visited |= nxt
+            frontier = nxt
+            ecc += 1
+        best = max(best, ecc)
+    return best
+
+
+def unreduced_bipartite(rows: tuple[int, ...]) -> bool:
+    """BFS layer parity over all n vertices, then a clash test per side."""
+    full = (1 << len(rows)) - 1
+    seen = 0
+    sides = [0, 0]
+    while seen != full:
+        rest = full & ~seen
+        frontier = rest & -rest
+        parity = 0
+        while frontier:
+            sides[parity] |= frontier
+            seen |= frontier
+            nxt = 0
+            for v in _iter_bits(frontier):
+                nxt |= rows[v]
+            frontier = nxt & ~seen
+            parity ^= 1
+    return not any(rows[v] & side for side in sides for v in _iter_bits(side))
+
+
+def unreduced_girth(rows: tuple[int, ...]) -> float:
+    """The forest test on all n vertices, then a triangle test.
+
+    A graph with a cycle but no triangle goes to the edge-deletion
+    reference; no I_G(Z_n) is one.
+    """
+    n = len(rows)
+    edges = sum(row.bit_count() for row in rows) // 2
+    if edges == n - unreduced_component_count(rows):
+        return inf
+    if any(rows[u] & rows[w] for u in range(n) for w in _iter_bits(rows[u])):
+        return 3
+    return naive_girth_of_rows(rows)
 
 
 def naive_bipartite(n: int) -> bool:

@@ -145,6 +145,20 @@ def test_oracle_tier_never_calls_the_closed_forms(monkeypatch):
         assert {v.ground_truth for v in audit_n(n)} == {"ORACLE"}
 
 
+def test_one_exact_clique_search_per_audit(monkeypatch):
+    calls = []
+    search = oracle.max_clique
+
+    def counted(graph, *args, **kwargs):
+        calls.append(graph.n)
+        return search(graph, *args, **kwargs)
+
+    monkeypatch.setattr(oracle, "max_clique", counted)
+    for n in range(3, 65):
+        audit_n(n)
+    assert calls == list(range(3, 65))
+
+
 def test_ground_truth_tiers():
     config = AuditConfig(oracle_build_limit=8, exact_search_limit=8,
                          hamiltonian_limit=8)

@@ -9,14 +9,21 @@ from indegraph.invariants import INFINITE
 
 from conftest import (
     naive_bipartite,
+    naive_bipartite_of_rows,
     naive_chromatic_number,
     naive_clique_number,
+    naive_component_count_of_rows,
     naive_degree,
     naive_diameter,
+    naive_diameter_of_rows,
     naive_edges,
     naive_girth,
     naive_girth_of_rows,
     naive_hamiltonian,
+    unreduced_bipartite,
+    unreduced_component_count,
+    unreduced_diameter,
+    unreduced_girth,
 )
 
 moduli = st.integers(min_value=2, max_value=80)
@@ -130,13 +137,17 @@ def test_girth_of_generic_graphs(n, edges, expected):
 ])
 @pytest.mark.parametrize("girth_first", [False, True])
 def test_disconnected_graphs(n, edges, expected, girth_first):
-    # Both queries share one reachability sweep from vertex 0; the order
-    # they run in must not matter.
+    # Every query reads one cached false-twin quotient; the order they
+    # run in must not matter.
     graph = graph_of(n, edges)
-    if girth_first:
-        assert graph.girth() == expected
-    assert graph.is_connected() is False
-    assert graph.girth() == expected
+    queries = [
+        ("is_connected", False),
+        ("girth", expected),
+        ("diameter", INFINITE),
+        ("is_bipartite", naive_bipartite_of_rows(graph.rows)),
+    ]
+    for name, value in reversed(queries) if girth_first else queries:
+        assert getattr(graph, name)() == value
 
 
 @st.composite
@@ -156,6 +167,89 @@ def random_graphs(draw, triangle_free=False):
 @given(st.one_of(random_graphs(), random_graphs(triangle_free=True)))
 def test_girth_of_random_graphs_matches_edge_deletion_bfs(graph):
     assert graph.girth() == naive_girth_of_rows(graph.rows)
+
+
+def assert_matches_row_references(graph):
+    """Every fact read off the false-twin quotient, against the definitions."""
+    rows = graph.rows
+    assert graph.is_connected() == (naive_component_count_of_rows(rows) == 1)
+    assert graph.diameter() == naive_diameter_of_rows(rows)
+    assert graph.is_bipartite() == naive_bipartite_of_rows(rows)
+    assert graph.partite_count() == len(set(rows))
+    assert graph.girth() == naive_girth_of_rows(rows)
+
+
+# Hand-made graphs with twins: isolated twins, twin sides of K_{2,3},
+# the leaves of a star, the opposite corners of C4.
+TWIN_GRAPHS = [
+    pytest.param(1, [], True, 0, 1, id="1-isolated"),
+    pytest.param(2, [], False, INFINITE, 1, id="2-isolated"),
+    pytest.param(3, [], False, INFINITE, 1, id="3-isolated"),
+    pytest.param(5, [(a, b) for a in range(2) for b in range(2, 5)], True, 2, 2, id="K23"),
+    pytest.param(5, [(0, b) for b in range(1, 5)], True, 2, 2, id="star"),
+    pytest.param(4, cycle(4), True, 2, 2, id="C4"),
+    pytest.param(4, [(0, 1)], False, INFINITE, 3, id="edge+2-isolated"),
+]
+
+
+@pytest.mark.parametrize("n, edges, connected, diameter, parts", TWIN_GRAPHS)
+def test_quotient_of_hand_made_graphs(n, edges, connected, diameter, parts):
+    graph = graph_of(n, edges)
+    assert graph.is_connected() is connected
+    assert graph.diameter() == diameter
+    assert graph.is_bipartite()
+    assert graph.partite_count() == parts
+    assert_matches_row_references(graph)
+
+
+@st.composite
+def twin_blowups(draw):
+    """A random base graph with every vertex blown up into 1-3 false twins.
+
+    Base vertices past `linked` get no edges, so some classes have an
+    empty row. The twins are then relabeled by a random permutation, so
+    a class need not be contiguous.
+    """
+    base = draw(st.integers(min_value=1, max_value=7))
+    linked = draw(st.integers(min_value=0, max_value=base))
+    pairs = [(a, b) for a in range(linked) for b in range(a + 1, linked)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    base_edges = {pair for pair, chosen in zip(pairs, keep) if chosen}
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=base, max_size=base))
+    owner = [c for c, size in enumerate(sizes) for _ in range(size)]
+    label = draw(st.permutations(range(len(owner))))
+    rows = [0] * len(owner)
+    for x, cx in enumerate(owner):
+        for y, cy in enumerate(owner):
+            if (min(cx, cy), max(cx, cy)) in base_edges:
+                rows[label[x]] |= 1 << label[y]
+    return oracle.IndependentGraph(len(rows), tuple(rows), ())
+
+
+@given(twin_blowups())
+def test_quotient_of_twin_blowups_matches_definitions(graph):
+    assert_matches_row_references(graph)
+
+
+@given(twin_blowups())
+def test_coloring_of_twin_blowups_matches_full_graph_search(graph):
+    unreduced = next(
+        k for k in range(1, graph.n + 1) if oracle._k_coloring(graph, k) is not None
+    )
+    clique = oracle.max_clique(graph)
+    assert oracle.chromatic_number(graph) == unreduced
+    assert oracle.chromatic_number(graph, clique_size=len(clique)) == unreduced
+
+
+def test_quotient_matches_full_graph_searches_across_the_family():
+    for n in range(2, 1025):
+        graph = oracle.build(n)
+        rows, full = graph.rows, (1 << n) - 1
+        assert graph.is_connected() == (unreduced_component_count(rows) == 1), n
+        assert graph.diameter() == unreduced_diameter(rows), n
+        assert graph.is_bipartite() == unreduced_bipartite(rows), n
+        assert graph.partite_count() == len({full ^ row for row in rows}), n
+        assert graph.girth() == unreduced_girth(rows), n
 
 
 @pytest.mark.parametrize("n", range(2, 41))
