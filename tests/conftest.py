@@ -103,7 +103,7 @@ def naive_distances(n: int) -> list[list[float]]:
 
 
 def _max_distance(dist: list[list[float]]) -> float:
-    return max((d for row in dist for d in row), default=0)
+    return max(d for row in dist for d in row)
 
 
 def naive_diameter(n: int) -> float:
