@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
@@ -26,6 +25,7 @@ from indegraph.invariants import (
     CLOSED_FORM,
     ORACLE,
     InvariantSet,
+    json_text,
     length_str,
     profile_str,
 )
@@ -225,10 +225,27 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
     items = truth.degree_items
     if items is None:
         # One representative per order class: (n // d) % n has order
-        # exactly d; the modulus folds d = 1 onto 0.
+        # exactly d; the modulus folds d = 1 onto 0. The claim depends
+        # only on the representative's residue kind, so it is evaluated
+        # once per kind, not once per divisor of n.
         items = (((n // d) % n, d, n - size, size) for d, size in truth.order_classes)
+        by_kind: dict[str, claims.DegreeClaim] = {}
+
+        def claim_of(vertex: int) -> claims.DegreeClaim:
+            kind = zn.classify_residue(vertex, n)
+            claim = by_kind.get(kind)
+            if claim is None:
+                claim = by_kind[kind] = claims.degree_claim(vertex, n)
+            return claim
+
+    else:
+        # The oracle tier evaluates the claim once per vertex; the
+        # benchmark's tests pin that call count.
+        def claim_of(vertex: int) -> claims.DegreeClaim:
+            return claims.degree_claim(vertex, n)
+
     for vertex, order, deg, size in items:
-        claim = claims.degree_claim(vertex, n)
+        claim = claim_of(vertex)
         if not claim.matches(deg):
             deviating += size
             if first_bad is None:
@@ -521,7 +538,7 @@ def _render_json(report: SweepReport) -> str:
             for theorem, s in report.summary.items()
         },
     }
-    return json.dumps(payload, indent=2)
+    return json_text(payload)
 
 
 def _render_csv(report: SweepReport) -> str:

@@ -14,7 +14,7 @@ import sys
 
 from indegraph import closed_form, oracle, zn
 from indegraph.audit import AuditConfig, render_report, sweep
-from indegraph.invariants import length_str, profile_str
+from indegraph.invariants import json_text, length_str, profile_str
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -140,7 +140,7 @@ def _cmd_info(args: argparse.Namespace, config: AuditConfig) -> int:
         payload.update((name, _json_value(value)) for name, value in rows)
         if args.verify:
             payload["verify"] = {"note": capacity_note, "checks": checks}
-        print(json.dumps(payload, indent=2))
+        print(json_text(payload))
     else:
         print(f"I_G(Z_{n})")
         for name, value in rows:

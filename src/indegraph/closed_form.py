@@ -12,37 +12,15 @@ Hamiltonicity), the corrected formulas live here.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 
 from indegraph.invariants import CLOSED_FORM, INFINITE, InvariantSet, is_star_profile
 from indegraph.zn import (
     check_modulus,
-    check_residue,
     divisor_count,
     divisor_phis,
-    element_order,
     euler_phi,
     is_prime,
 )
-
-
-@dataclass(frozen=True)
-class PartSizeProfile:
-    """Sizes of the order classes of Z_n, ascending."""
-
-    n: int
-    sizes: tuple[int, ...]
-
-
-def part_sizes(n: int) -> PartSizeProfile:
-    check_modulus(n)
-    return PartSizeProfile(n, tuple(sorted(phi for _, phi in divisor_phis(n))))
-
-
-def degree(a: int, n: int) -> int:
-    """Degree of vertex a: everything outside its own order class."""
-    check_residue(a, n)
-    return n - euler_phi(element_order(a, n))
 
 
 def degree_counts(n: int) -> tuple[tuple[int, int], ...]:

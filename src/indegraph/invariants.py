@@ -1,10 +1,13 @@
-"""The one record of facts about I_G(Z_n), its tiers, and the infinite-length sentinel."""
+"""The one record of facts about I_G(Z_n), its tiers, the infinite-length
+sentinel, and the indented JSON writer that `info --json` and the JSON
+report share."""
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 # Girth of an acyclic graph, diameter of a disconnected one.
 INFINITE = math.inf
@@ -32,6 +35,52 @@ def is_star_profile(n: int, counts: Mapping[int, int]) -> bool:
     """Whether {degree: count} is the degree profile of the star on n vertices."""
     star = {1: 2} if n == 2 else {n - 1: 1, 1: n - 1}
     return dict(counts) == star
+
+
+def json_text(value: object) -> str:
+    """The bytes of `json.dumps(value, indent=2)`, built by joining strings.
+
+    With `indent` set, CPython leaves its C encoder for a Python
+    generator that yields one chunk per token; here each container joins
+    the text of its members instead. Takes str, int, bool and None, and
+    lists and str-keyed dicts of them; anything else (floats, other
+    keys, other objects) raises TypeError.
+    """
+    return _json_text(value, "\n")
+
+
+def _json_text(value: object, indent: str) -> str:
+    """`value` as JSON; `indent` is the newline and indentation of its own level."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [
+            _json_key(key) + ": " + _json_text(item, inner) for key, item in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    raise TypeError(f"json_text cannot write {type(value).__name__}")
+
+
+def _json_key(key: object) -> str:
+    if not isinstance(key, str):
+        raise TypeError(f"json_text needs str keys, got {type(key).__name__}")
+    return encode_basestring_ascii(key)
 
 
 @dataclass(frozen=True)
@@ -82,12 +131,3 @@ class InvariantSet:
     hamiltonian_tier: str | None
     hamiltonian: bool | None
     hamiltonian_cycle: tuple[int, ...] | None
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Expand the profile into the full descending degree sequence."""
-        if self.n > 2_000_000:
-            raise ValueError(f"refusing to expand {self.n} degrees")
-        out: list[int] = []
-        for degree, count in self.degree_counts:
-            out.extend([degree] * count)
-        return tuple(out)

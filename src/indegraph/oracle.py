@@ -8,11 +8,13 @@ order-class structure of the graph: they remain valid oracles for the
 structural claims they are used to audit, and the pruning rules are
 generic necessary conditions, never graph-family shortcuts.
 
-Connectivity, diameter, bipartiteness, the part count and the chromatic
-number are read off the false-twin quotient G/≡, which keeps one vertex
-per class of equal rows. Equal rows hold no edge between their owners,
-since no row contains its own vertex, so for every simple graph:
+The degrees, connectivity, diameter, bipartiteness, the part count and
+the chromatic number are read off the false-twin quotient G/≡, which
+keeps one vertex per class of equal rows. Equal rows hold no edge
+between their owners, since no row contains its own vertex, so for
+every simple graph:
 
+- twins share their degree, so one row per class is counted;
 - the components of G are those of G/≡, plus size - 1 more for each
   class whose row is empty;
 - G is bipartite exactly when G/≡ is, and chi(G) = chi(G/≡);
@@ -77,10 +79,10 @@ class IndependentGraph:
         return self.rows[a].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return self._degree_tuple
+        return self._quotient[2]
 
     def edge_count(self) -> int:
-        return sum(self._degree_tuple) // 2
+        return sum(self.degrees()) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Unordered edges as (a, b) with a < b, lexicographic."""
@@ -89,10 +91,6 @@ class IndependentGraph:
             for offset in _iter_bits(high):
                 yield a, a + 1 + offset
 
-    @cached_property
-    def _degree_tuple(self) -> tuple[int, ...]:
-        return tuple(row.bit_count() for row in self.rows)
-
     def _check_vertex(self, a: int) -> None:
         if not 0 <= a < self.n:
             raise ValueError(f"vertex {a} out of range [0, {self.n})")
@@ -100,19 +98,21 @@ class IndependentGraph:
     # -- false-twin quotient ---------------------------------------------
 
     @cached_property
-    def _quotient(self) -> tuple[IndependentGraph, tuple[int, ...]]:
-        """G/≡ with one vertex per class of equal rows, and the class sizes.
+    def _quotient(self) -> tuple[IndependentGraph, tuple[int, ...], tuple[int, ...]]:
+        """G/≡ (one vertex per class of equal rows), the class sizes, the degrees of G.
 
         Classes are numbered by their first member, and class i is
         adjacent to class j exactly when the first member of i is
         adjacent to the first member of j. Equal rows hold no edge
         between their owners (a row never contains its own vertex), so
         every class is an independent set, the quotient is an induced
-        subgraph of G, and no two of its rows are equal.
+        subgraph of G, and no two of its rows are equal. Twins share
+        their degree, so only the first member's row is counted.
         """
         index: dict[int, int] = {}
         firsts: list[int] = []
         sizes: list[int] = []
+        classes: list[int] = []
         for v, row in enumerate(self.rows):
             k = index.setdefault(row, len(firsts))
             if k == len(firsts):
@@ -120,17 +120,20 @@ class IndependentGraph:
                 sizes.append(1)
             else:
                 sizes[k] += 1
+            classes.append(k)
         bits = [1 << v for v in firsts]
         rows = tuple(
             sum(1 << j for j, bit in enumerate(bits) if self.rows[v] & bit)
             for v in firsts
         )
-        return IndependentGraph(len(rows), rows, ()), tuple(sizes)
+        class_degrees = [self.rows[v].bit_count() for v in firsts]
+        degrees = tuple([class_degrees[k] for k in classes])
+        return IndependentGraph(len(rows), rows, ()), tuple(sizes), degrees
 
     @cached_property
     def _component_count(self) -> int:
         """Components of the quotient, plus one per extra isolated twin."""
-        quotient, sizes = self._quotient
+        quotient, sizes, _ = self._quotient
         isolated_twins = sum(
             size - 1 for row, size in zip(quotient.rows, sizes) if not row
         )
@@ -154,7 +157,7 @@ class IndependentGraph:
         """
         if self._component_count != 1:
             return INFINITE
-        quotient, sizes = self._quotient
+        quotient, sizes, _ = self._quotient
         best = _diameter(quotient.rows)
         return max(best, 2) if max(sizes) > 1 else best
 

@@ -4,7 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indegraph import audit, closed_form, oracle
+from indegraph import audit, claims, closed_form, oracle
 from indegraph.audit import (
     AuditConfig,
     Status,
@@ -212,6 +212,28 @@ def test_closed_form_audit_matches_per_divisor_reference(n, monkeypatch):
 
     monkeypatch.setattr(audit, "ground_truth", reference)
     assert verdicts == audit_n(n)
+
+
+@pytest.mark.parametrize(
+    "n, config",
+    [
+        pytest.param(897612484786617600, None, id="beyond-build-limit"),
+        pytest.param(720720, AuditConfig(oracle_build_limit=2, exact_search_limit=2,
+                                         hamiltonian_limit=2), id="small-limits"),
+    ],
+)
+def test_closed_form_tier_evaluates_one_degree_claim_per_kind(n, config, monkeypatch):
+    calls = []
+    claim = claims.degree_claim
+
+    def counted(a, m):
+        calls.append(a)
+        return claim(a, m)
+
+    monkeypatch.setattr(claims, "degree_claim", counted)
+    verdicts = audit_n(n, config)
+    assert verdict(verdicts, TheoremId.T2_7).ground_truth == "CLOSED_FORM"
+    assert 1 <= len(calls) <= 3
 
 
 def test_fallback_disabled_yields_skips():

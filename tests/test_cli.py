@@ -49,6 +49,12 @@ def test_info_json(capsys):
     assert data["degrees"] == [[4, 1], [1, 4]]
 
 
+def test_info_json_is_json_dumps_indented(capsys):
+    code, out, _ = run(capsys, "info", "897612484786617600", "--json")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
 def test_info_json_verify_notes_capacity(capsys):
     code, out, _ = run(
         capsys, "--oracle-limit", "10", "info", "50", "--verify", "--json"

@@ -32,9 +32,10 @@ def test_edge_count_matches_oracle(n):
 
 @given(moduli)
 def test_degree_matches_oracle(n):
-    graph = oracle.build(n)
-    for a in range(n):
-        assert closed_form.degree(a, n) == graph.degree(a)
+    # Each vertex is adjacent to everything outside its own order class.
+    sizes = dict(closed_form.invariants(n).order_classes)
+    expected = tuple(n - sizes[zn.element_order(a, n)] for a in range(n))
+    assert oracle.build(n).degrees() == expected
 
 
 @given(moduli)
@@ -45,17 +46,15 @@ def test_degree_counts_match_oracle(n):
 
 
 def test_part_sizes():
-    profile = closed_form.part_sizes(12)
-    assert profile.n == 12
-    assert profile.sizes == (1, 1, 2, 2, 2, 4)
-    assert sum(profile.sizes) == 12
+    classes = closed_form.invariants(12).order_classes
+    assert classes == ((1, 1), (2, 1), (3, 2), (4, 2), (6, 2), (12, 4))
+    assert sum(size for _, size in classes) == 12
 
 
 @given(moduli)
 def test_part_sizes_are_totients(n):
-    sizes = closed_form.part_sizes(n).sizes
-    assert sorted(sizes) == list(sizes)
-    assert sorted(sizes) == sorted(zn.euler_phi(d) for d in zn.divisors(n))
+    classes = closed_form.invariants(n).order_classes
+    assert classes == tuple((d, zn.euler_phi(d)) for d in zn.divisors(n))
 
 
 @pytest.mark.parametrize("n", range(2, 120))
@@ -124,9 +123,7 @@ def test_invariants_match_per_divisor_formulas(n):
     assert closed_form.edge_count(n) == inv.edge_count
     assert closed_form.degree_counts(n) == inv.degree_counts
     assert closed_form.clique_chromatic_number(n) == inv.partite_count
-    assert closed_form.part_sizes(n).sizes == tuple(
-        sorted(zn.euler_phi(d) for d in zn.divisors(n))
-    )
+    assert inv.order_classes == tuple((d, zn.euler_phi(d)) for d in zn.divisors(n))
 
 
 def test_invariants_large_prime_is_fast_and_star_shaped():
@@ -139,14 +136,13 @@ def test_invariants_large_prime_is_fast_and_star_shaped():
     assert not inv.hamiltonian
 
 
-def test_degree_sequence_expansion_guard():
-    assert closed_form.invariants(6).degree_sequence() == (5, 5, 4, 4, 4, 4)
-    with pytest.raises(ValueError):
-        closed_form.invariants(10**9 + 7).degree_sequence()
+def test_degree_counts_frozen_values():
+    assert closed_form.degree_counts(6) == ((5, 2), (4, 4))
+    assert closed_form.degree_counts(12) == ((11, 2), (10, 6), (8, 4))
 
 
 def test_degree_rejects_bad_input():
     with pytest.raises(ValueError):
-        closed_form.degree(4, 4)
+        closed_form.degree_counts(1)
     with pytest.raises(ValueError):
         closed_form.edge_count(1)

@@ -172,6 +172,7 @@ def test_girth_of_random_graphs_matches_edge_deletion_bfs(graph):
 def assert_matches_row_references(graph):
     """Every fact read off the false-twin quotient, against the definitions."""
     rows = graph.rows
+    assert graph.degrees() == tuple(row.bit_count() for row in rows)
     assert graph.is_connected() == (naive_component_count_of_rows(rows) == 1)
     assert graph.diameter() == naive_diameter_of_rows(rows)
     assert graph.is_bipartite() == naive_bipartite_of_rows(rows)
@@ -245,6 +246,7 @@ def test_quotient_matches_full_graph_searches_across_the_family():
     for n in range(2, 1025):
         graph = oracle.build(n)
         rows, full = graph.rows, (1 << n) - 1
+        assert graph.degrees() == tuple(row.bit_count() for row in rows), n
         assert graph.is_connected() == (unreduced_component_count(rows) == 1), n
         assert graph.diameter() == unreduced_diameter(rows), n
         assert graph.is_bipartite() == unreduced_bipartite(rows), n
