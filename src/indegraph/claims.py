@@ -14,7 +14,6 @@ from indegraph.invariants import INFINITE
 from indegraph.zn import (
     check_modulus,
     classify_residue,
-    divisor_count,
     euler_phi,
     is_prime,
     INVOLUTION,
@@ -37,23 +36,6 @@ class DegreeClaim:
 
     def __str__(self) -> str:
         return " or ".join(str(v) for v in self.values)
-
-
-@dataclass(frozen=True)
-class StructuralClaims:
-    """All claimed shape facts for one n.
-
-    hamiltonian is None for prime n >= 5, where the claims are silent.
-    """
-
-    connected: bool
-    complete: bool
-    star: bool
-    girth: int | float
-    diameter_bound: int
-    bipartite: bool
-    partite_count: int
-    hamiltonian: bool | None
 
 
 def involution_count(n: int) -> int:
@@ -132,23 +114,7 @@ def perfect_verdict(n: int) -> str:
     return STRONGLY_PERFECT
 
 
-def structural(n: int) -> StructuralClaims:
-    """Every claimed structural fact for one n."""
+def girth(n: int) -> int | float:
+    """Claimed girth: infinite for prime n, 3 for composite n."""
     check_modulus(n)
-    prime = is_prime(n)
-    if n in (2, 3):
-        hamiltonian: bool | None = False
-    elif not prime:
-        hamiltonian = True
-    else:
-        hamiltonian = None
-    return StructuralClaims(
-        connected=True,
-        complete=n == 2,
-        star=prime,
-        girth=INFINITE if prime else 3,
-        diameter_bound=2,
-        bipartite=prime,
-        partite_count=divisor_count(n),
-        hamiltonian=hamiltonian,
-    )
+    return INFINITE if is_prime(n) else 3

@@ -24,6 +24,11 @@ every simple graph:
 
 The quotient is built from the rows alone. Here it has one class per
 divisor of n: 2 at a prime, 30 at n = 20000.
+
+`invariants` reads only the graph it is given: the rows, and the orders
+`build` computed once per residue. The involution and "neither" counts
+and the multipartite check come from those orders; nothing is asked of
+the number theory beyond the modulus check.
 """
 
 from __future__ import annotations
@@ -35,13 +40,7 @@ from math import gcd, inf
 from typing import Iterator
 
 from indegraph.invariants import INFINITE, ORACLE, InvariantSet, is_star_profile
-from indegraph.zn import (
-    CapacityError,
-    OrderDecomposition,
-    check_modulus,
-    order_decomposition,
-    special_sets,
-)
+from indegraph.zn import CapacityError, check_modulus
 
 DEFAULT_BUILD_LIMIT = 20_000
 DEFAULT_EXACT_SEARCH_LIMIT = 64
@@ -301,40 +300,28 @@ def build(n: int, limit: int = DEFAULT_BUILD_LIMIT) -> IndependentGraph:
     if n > limit:
         raise CapacityError(f"n={n} exceeds the graph build limit {limit}")
     orders = tuple(n // gcd(a, n) for a in range(n))
-    class_mask: dict[int, int] = {}
-    for a, d in enumerate(orders):
-        class_mask[d] = class_mask.get(d, 0) | (1 << a)
     full = (1 << n) - 1
-    row_of = {d: full ^ mask for d, mask in class_mask.items()}
+    row_of = {d: full ^ mask for d, mask in _class_masks(orders).items()}
     return IndependentGraph(n, tuple(row_of[d] for d in orders), orders)
 
 
-def verify_complete_multipartite(
-    graph: IndependentGraph, decomposition: OrderDecomposition
-) -> bool:
-    """Check adjacency == "different class" for every vertex pair.
+def _class_masks(orders: tuple[int, ...]) -> dict[int, int]:
+    """One bitmask per order, holding the vertices of that order."""
+    masks: dict[int, int] = {}
+    for a, d in enumerate(orders):
+        masks[d] = masks.get(d, 0) | (1 << a)
+    return masks
 
-    Row equality against the complement of each class mask covers all
-    n*(n-1)/2 pairs at once.
+
+def verify_complete_multipartite(graph: IndependentGraph) -> bool:
+    """Check adjacency == "different order" for every vertex pair.
+
+    Row equality against the complement of each order class's mask
+    covers all n*(n-1)/2 pairs at once.
     """
-    if decomposition.n != graph.n:
-        raise ValueError(
-            f"decomposition is for n={decomposition.n}, graph has n={graph.n}"
-        )
     full = (1 << graph.n) - 1
-    covered = 0
-    for members in decomposition.classes.values():
-        mask = 0
-        for a in members:
-            mask |= 1 << a
-        covered |= mask
-        expected = full ^ mask
-        for a in members:
-            if graph.rows[a] != expected:
-                return False
-    if covered != full:
-        raise ValueError("decomposition does not cover every vertex")
-    return True
+    expected = {d: full ^ mask for d, mask in _class_masks(graph.orders).items()}
+    return all(row == expected[d] for row, d in zip(graph.rows, graph.orders))
 
 
 # -- exact clique and coloring ------------------------------------------
@@ -551,7 +538,10 @@ def invariants(
     degs = graph.degrees()
     counts = Counter(degs)
     edge_count = graph.edge_count()
-    sets = special_sets(n)
+    order_classes = sorted(Counter(graph.orders).items())
+    # 2a = 0 exactly when o(a) divides 2; gcd(a, n) = 1 exactly when o(a) = n.
+    involutions = sum(size for d, size in order_classes if d <= 2)
+    neither = sum(size for d, size in order_classes if 2 < d < n)
     clique_vertices = chromatic = exact_tier = None
     if n <= exact_limit:
         clique_vertices = max_clique(graph, limit=exact_limit)
@@ -567,11 +557,11 @@ def invariants(
     return InvariantSet(
         n=n,
         tier=ORACLE,
-        involutions=len(sets.involutions),
-        neither=len(sets.neither),
+        involutions=involutions,
+        neither=neither,
         edge_count=edge_count,
         degree_counts=tuple(sorted(counts.items(), reverse=True)),
-        order_classes=tuple(sorted(Counter(graph.orders).items())),
+        order_classes=tuple(order_classes),
         degree_items=tuple((a, graph.orders[a], degs[a], 1) for a in range(n)),
         connected=graph.is_connected(),
         complete=edge_count == n * (n - 1) // 2,
@@ -580,7 +570,7 @@ def invariants(
         diameter=graph.diameter(),
         bipartite=graph.is_bipartite(),
         partite_count=graph.partite_count(),
-        multipartite=verify_complete_multipartite(graph, order_decomposition(n)),
+        multipartite=verify_complete_multipartite(graph),
         exact_tier=exact_tier,
         clique_number=None if clique_vertices is None else len(clique_vertices),
         clique_vertices=clique_vertices,

@@ -3,7 +3,9 @@
 Everything downstream hangs off the additive order of a residue,
 o(a) = n / gcd(a, n). Grouping Z_n by order yields one class of size
 phi(d) per divisor d of n; those classes are the parts of the
-independent graph.
+independent graph. The functions here work on one residue or on the
+factorization of n and never enumerate Z_n: the oracle groups the
+residues itself, and the closed forms need only the divisors.
 
 Factoring and primality share one path. Trial division by the primes
 below TRIAL_LIMIT settles every n below TRIAL_LIMIT**2 and strips the
@@ -18,7 +20,6 @@ input runs for longer than the budget allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import itemgetter
@@ -271,42 +272,3 @@ def classify_residue(a: int, n: int) -> str:
     if gcd(a, n) == 1:
         return UNIT
     return NEITHER
-
-
-@dataclass(frozen=True)
-class SpecialSets:
-    """Units, additive involutions, and everything else in Z_n.
-
-    The three sets partition Z_n for n >= 3; at n = 2 the residue 1 is
-    both a unit and an involution, flagged by overlap_flag.
-    """
-
-    n: int
-    units: frozenset[int]
-    involutions: frozenset[int]
-    neither: frozenset[int]
-    overlap_flag: bool
-
-
-def special_sets(n: int) -> SpecialSets:
-    check_modulus(n)
-    units = frozenset(a for a in range(n) if gcd(a, n) == 1)
-    involutions = frozenset(a for a in range(n) if (2 * a) % n == 0)
-    neither = frozenset(range(n)) - units - involutions
-    return SpecialSets(n, units, involutions, neither, bool(units & involutions))
-
-
-@dataclass(frozen=True)
-class OrderDecomposition:
-    """Partition of Z_n into order classes, keyed by divisor of n."""
-
-    n: int
-    classes: dict[int, tuple[int, ...]]
-
-
-def order_decomposition(n: int) -> OrderDecomposition:
-    check_modulus(n)
-    classes: dict[int, list[int]] = {d: [] for d in divisors(n)}
-    for a in range(n):
-        classes[n // gcd(a, n)].append(a)
-    return OrderDecomposition(n, {d: tuple(v) for d, v in classes.items()})

@@ -1,5 +1,6 @@
 import inspect
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -207,8 +208,12 @@ def test_closed_form_audit_matches_per_divisor_reference(n, monkeypatch):
     assert {v.ground_truth for v in verdicts} == {"CLOSED_FORM"}
 
     def reference(m, config):
+        # Per-item degrees make _degrees evaluate one claim per order
+        # class, the reference for the closed-form tier's per-kind memo.
         assert m > config.oracle_build_limit
-        return per_divisor_invariants(m)
+        truth = per_divisor_invariants(m)
+        items = tuple(((m // d) % m, d, m - size, size) for d, size in truth.order_classes)
+        return replace(truth, degree_items=items)
 
     monkeypatch.setattr(audit, "ground_truth", reference)
     assert verdicts == audit_n(n)

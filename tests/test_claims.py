@@ -1,10 +1,13 @@
 """The claimed formulas are transcriptions, so these tests freeze their
 outputs verbatim, including the values the audit later refutes."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from indegraph import claims, closed_form, zn
+from indegraph import claims, closed_form
+from indegraph.audit import TheoremId, audit_n
 from indegraph.invariants import INFINITE
 
 moduli = st.integers(min_value=2, max_value=300)
@@ -26,8 +29,9 @@ def test_neither_count_printed_cases():
 
 def test_neither_count_swapped_cases():
     for n in range(3, 60):
-        sets = zn.special_sets(n)
-        assert claims.neither_count(n, swapped=True) == len(sets.neither)
+        # residues with 2a != 0 and gcd(a, n) != 1
+        neither = sum(1 for a in range(n) if 2 * a % n and math.gcd(a, n) != 1)
+        assert claims.neither_count(n, swapped=True) == neither
 
 
 def test_degree_claim_kinds():
@@ -94,26 +98,25 @@ def test_perfect_verdict_definition(n):
 
 
 def test_structural_claims_prime():
-    s = claims.structural(7)
-    assert s.connected and s.bipartite and not s.complete
-    assert s.star
-    assert s.girth == INFINITE
-    assert s.diameter_bound == 2
-    assert s.partite_count == 2
-    assert s.hamiltonian is None  # prime >= 5: claim is silent
+    for p in (2, 3, 7, 97, 2**61 - 1):
+        assert claims.girth(p) == INFINITE
 
 
 def test_structural_claims_composite():
-    s = claims.structural(12)
-    assert s.connected and not s.bipartite and not s.complete
-    assert not s.star
-    assert s.girth == 3
-    assert s.partite_count == 6
-    assert s.hamiltonian is True
+    for n in (4, 12, 91, 2**61 + 1):
+        assert claims.girth(n) == 3
 
 
 def test_structural_claims_tiny():
-    assert claims.structural(2).complete
-    assert claims.structural(2).hamiltonian is False
-    assert claims.structural(3).hamiltonian is False
-    assert claims.structural(4).hamiltonian is True
+    assert claims.girth(2) == claims.girth(3) == INFINITE and claims.girth(4) == 3
+    with pytest.raises(ValueError):
+        claims.girth(1)
+    # the other structural claims are stated inline by the audit's rows
+    claimed = {n: {v.theorem: v.claimed for v in audit_n(n)} for n in (2, 3, 4)}
+    assert [claimed[n][TheoremId.C2_13] for n in (2, 3, 4)] == [
+        "complete", "not complete", "not complete"
+    ]
+    assert [claimed[n][TheoremId.R2_18] for n in (2, 3, 4)] == [
+        "not hamiltonian", "not hamiltonian", "hamiltonian"
+    ]
+    assert {claimed[n][TheoremId.T2_16] for n in (2, 3, 4)} == {"<= 2"}

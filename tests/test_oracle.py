@@ -276,16 +276,12 @@ def test_partite_count_is_divisor_count(n):
     assert oracle.build(n).partite_count() == len(zn.divisors(n))
 
 
-@given(moduli)
-def test_complete_multipartite_structure(n):
-    graph = oracle.build(n)
-    assert oracle.verify_complete_multipartite(graph, zn.order_decomposition(n))
-
-
-def test_verify_multipartite_rejects_wrong_modulus():
-    graph = oracle.build(6)
-    with pytest.raises(ValueError):
-        oracle.verify_complete_multipartite(graph, zn.order_decomposition(8))
+def test_complete_multipartite_structure():
+    for n in range(2, 513):
+        graph = oracle.build(n)
+        # the check reads graph.orders; this keeps an independent reference
+        assert graph.orders == tuple(zn.element_order(a, n) for a in range(n)), n
+        assert oracle.verify_complete_multipartite(graph), n
 
 
 def test_verify_multipartite_detects_deviation():
@@ -295,9 +291,7 @@ def test_verify_multipartite_detects_deviation():
     rows[0] &= ~(1 << 1)
     rows[1] &= ~(1 << 0)
     doctored = oracle.IndependentGraph(6, tuple(rows), base.orders)
-    assert not oracle.verify_complete_multipartite(
-        doctored, zn.order_decomposition(6)
-    )
+    assert not oracle.verify_complete_multipartite(doctored)
 
 
 @pytest.mark.parametrize("n", range(2, 15))
@@ -397,6 +391,36 @@ def test_invariants_aggregator_limits():
     assert small.hamiltonian is True
     assert small.degree_counts == ((5, 2), (4, 4))
     assert math.isinf(oracle.invariants(oracle.build(3)).girth)
+
+
+def test_record_counts_involutions_and_neither_by_definition():
+    for n in range(2, 513):
+        inv = oracle.invariants(oracle.build(n), exact_limit=2, hamiltonian_limit=2)
+        involutions = sum(1 for a in range(n) if 2 * a % n == 0)
+        neither = sum(1 for a in range(n) if 2 * a % n and math.gcd(a, n) != 1)
+        assert (inv.involutions, inv.neither) == (involutions, neither), n
+
+
+def test_invariants_need_nothing_from_zn_but_the_modulus_check(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle asked zn for more than the modulus check")
+
+    patched = [
+        value
+        for name, value in vars(zn).items()
+        if not name.startswith("_")
+        and name != "check_modulus"
+        and callable(value)
+        and not isinstance(value, type)
+        and getattr(value, "__module__", None) == zn.__name__
+    ]
+    assert zn.element_order in patched and zn.divisors in patched
+    for module in (zn, oracle):
+        for name, value in list(vars(module).items()):
+            if any(value is fn for fn in patched):
+                monkeypatch.setattr(module, name, refuse)
+    for n in range(2, 65):
+        assert oracle.invariants(oracle.build(n)).n == n
 
 
 def test_oracle_imports_neither_closed_forms_nor_claims():

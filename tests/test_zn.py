@@ -203,43 +203,49 @@ def test_classify_residue_cases():
     assert zn.classify_residue(1, 2) == zn.INVOLUTION
 
 
+def _kinds(n):
+    """Z_n split by classify_residue: {kind: set of residues}."""
+    out = {zn.INVOLUTION: set(), zn.UNIT: set(), zn.NEITHER: set()}
+    for a in range(n):
+        out[zn.classify_residue(a, n)].add(a)
+    return out
+
+
 def test_special_sets_n10():
-    sets = zn.special_sets(10)
-    assert sets.units == frozenset({1, 3, 7, 9})
-    assert sets.involutions == frozenset({0, 5})
-    assert sets.neither == frozenset({2, 4, 6, 8})
-    assert not sets.overlap_flag
+    assert _kinds(10) == {
+        zn.UNIT: {1, 3, 7, 9},
+        zn.INVOLUTION: {0, 5},
+        zn.NEITHER: {2, 4, 6, 8},
+    }
 
 
 def test_special_sets_overlap_at_2():
-    sets = zn.special_sets(2)
-    assert sets.units == frozenset({1})
-    assert sets.involutions == frozenset({0, 1})
-    assert sets.neither == frozenset()
-    assert sets.overlap_flag
+    # 1 is both a unit and an involution at n = 2; involution wins
+    assert _kinds(2) == {zn.INVOLUTION: {0, 1}, zn.UNIT: set(), zn.NEITHER: set()}
 
 
 @given(moduli)
 def test_special_sets_cover(n):
-    sets = zn.special_sets(n)
-    assert sets.units | sets.involutions | sets.neither == frozenset(range(n))
-    assert len(sets.units) == zn.euler_phi(n)
-    assert len(sets.involutions) == (2 if n % 2 == 0 else 1)
+    kinds = _kinds(n)
+    # the kind is fixed by the order d, as the closed-form audit assumes
+    for kind, members in kinds.items():
+        for a in members:
+            d = zn.element_order(a, n)
+            assert kind == (zn.INVOLUTION if d <= 2 else zn.UNIT if d == n else zn.NEITHER)
+    assert len(kinds[zn.INVOLUTION]) == (2 if n % 2 == 0 else 1)
     if n > 2:
-        assert not sets.overlap_flag
-        assert len(sets.neither) == n - len(sets.units) - len(sets.involutions)
+        assert len(kinds[zn.UNIT]) == zn.euler_phi(n)
+        assert len(kinds[zn.NEITHER]) == n - zn.euler_phi(n) - len(kinds[zn.INVOLUTION])
 
 
 @given(moduli)
 def test_order_decomposition_classes(n):
-    decomp = zn.order_decomposition(n)
-    assert sorted(decomp.classes) == zn.divisors(n)
-    total = 0
-    for d, members in decomp.classes.items():
+    classes = {}
+    for a in range(n):
+        classes.setdefault(zn.element_order(a, n), []).append(a)
+    assert sorted(classes) == zn.divisors(n)
+    for d, members in classes.items():
         assert len(members) == zn.euler_phi(d)
-        assert all(zn.element_order(a, n) == d for a in members)
-        total += len(members)
-    assert total == n
 
 
 def test_divisor_phis_match_phi_of_each_divisor_to_5000():
