@@ -500,12 +500,11 @@ def sweep(
 
 def render_report(report: SweepReport, fmt: str) -> str:
     """Deterministic rendering; equal reports give byte-identical text."""
-    key = fmt.lower()
-    if key in ("md", "markdown"):
+    if fmt == "md":
         return _render_markdown(report)
-    if key == "json":
+    if fmt == "json":
         return _render_json(report)
-    if key == "csv":
+    if fmt == "csv":
         return _render_csv(report)
     raise ValueError(f"unknown report format: {fmt!r}")
 

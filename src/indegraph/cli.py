@@ -20,11 +20,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_STRICT = 2
 
-_ENV_ORACLE = "INDEGRAPH_ORACLE_LIMIT"
-_ENV_EXACT = "INDEGRAPH_EXACT_LIMIT"
-_ENV_HAMILTONIAN = "INDEGRAPH_HAMILTONIAN_LIMIT"
-_ENV_JOBS = "INDEGRAPH_JOBS"
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; 2 is reserved for --strict here."""
@@ -35,30 +30,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _pick(flag_value: int | None, env_name: str, default: int) -> int:
-    """The flag if given, else the environment variable if set, else the default."""
-    if flag_value is not None:
-        return flag_value
-    raw = os.environ.get(env_name, "")
-    if not raw:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{env_name} must be an integer, got {raw!r}") from None
-
-
 def _config_from(args: argparse.Namespace) -> AuditConfig:
     return AuditConfig(
-        oracle_build_limit=_pick(
-            args.oracle_limit, _ENV_ORACLE, oracle.DEFAULT_BUILD_LIMIT
-        ),
-        exact_search_limit=_pick(
-            args.exact_limit, _ENV_EXACT, oracle.DEFAULT_EXACT_SEARCH_LIMIT
-        ),
-        hamiltonian_limit=_pick(
-            args.ham_limit, _ENV_HAMILTONIAN, oracle.DEFAULT_HAMILTONIAN_LIMIT
-        ),
+        oracle_build_limit=args.oracle_limit,
+        exact_search_limit=args.exact_limit,
+        hamiltonian_limit=args.ham_limit,
     )
 
 
@@ -172,7 +148,7 @@ def _cmd_audit(args: argparse.Namespace, config: AuditConfig) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace, config: AuditConfig) -> int:
-    jobs = _pick(args.jobs, _ENV_JOBS, os.cpu_count() or 1)
+    jobs = args.jobs if args.jobs is not None else os.cpu_count() or 1
     report = sweep(args.lo, args.hi, config, jobs=jobs)
     print(render_report(report, args.format))
     if args.strict and report.has_mismatch():
@@ -253,27 +229,24 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--oracle-limit",
         type=int,
-        default=None,
+        default=oracle.DEFAULT_BUILD_LIMIT,
         metavar="N",
-        help=f"largest n the oracle will build (default {oracle.DEFAULT_BUILD_LIMIT}, "
-        f"env {_ENV_ORACLE})",
+        help="largest n the oracle will build (default %(default)s)",
     )
     parser.add_argument(
         "--exact-limit",
         type=int,
-        default=None,
+        default=oracle.DEFAULT_EXACT_SEARCH_LIMIT,
         metavar="N",
-        help=f"largest n for exact clique/chromatic search "
-        f"(default {oracle.DEFAULT_EXACT_SEARCH_LIMIT}, env {_ENV_EXACT})",
+        help="largest n for exact clique/chromatic search (default %(default)s)",
     )
     parser.add_argument(
         "--hamiltonian-limit",
         dest="ham_limit",
         type=int,
-        default=None,
+        default=oracle.DEFAULT_HAMILTONIAN_LIMIT,
         metavar="N",
-        help=f"largest n for hamiltonian search "
-        f"(default {oracle.DEFAULT_HAMILTONIAN_LIMIT}, env {_ENV_HAMILTONIAN})",
+        help="largest n for hamiltonian search (default %(default)s)",
     )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -298,7 +271,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--format", choices=("md", "json", "csv"), default="md")
     p_sweep.add_argument(
         "--jobs", type=int, default=None, metavar="K",
-        help=f"worker processes (default: cores, env {_ENV_JOBS})",
+        help="worker processes (default: cores)",
     )
     p_sweep.add_argument(
         "--strict", action="store_true", help="exit 2 if any claim mismatches"

@@ -3,10 +3,11 @@
 The graph is complete multipartite with one part of size phi(d) per
 divisor d of n, so every invariant reduces to arithmetic over the
 (d, phi(d)) table that zn.divisor_phis builds from one factorization
-of n, and runs in divisor-enumeration time for any n. The test suite
-validates each formula against the brute-force oracle; where the
-audited claims are wrong (edge count, clique, chromatic, blanket
-Hamiltonicity), the corrected formulas live here.
+of n, and runs in divisor-enumeration time for any n. `invariants`
+builds the whole record; the test suite validates each field against
+the brute-force oracle. Where the audited claims are wrong (edge count,
+clique, chromatic, blanket Hamiltonicity), the corrected formulas live
+here.
 """
 
 from __future__ import annotations
@@ -14,62 +15,7 @@ from __future__ import annotations
 from collections import Counter
 
 from indegraph.invariants import CLOSED_FORM, INFINITE, InvariantSet, is_star_profile
-from indegraph.zn import (
-    check_modulus,
-    divisor_count,
-    divisor_phis,
-    euler_phi,
-    is_prime,
-)
-
-
-def degree_counts(n: int) -> tuple[tuple[int, int], ...]:
-    """Degree profile as (degree, multiplicity), descending by degree."""
-    check_modulus(n)
-    return degree_counts_of_parts(n, divisor_phis(n))
-
-
-def degree_counts_of_parts(
-    n: int, parts: list[tuple[int, int]]
-) -> tuple[tuple[int, int], ...]:
-    """degree_counts(n) from the (d, phi(d)) table of n."""
-    counts: Counter[int] = Counter()
-    for _, size in parts:
-        counts[n - size] += size
-    return tuple(sorted(counts.items(), reverse=True))
-
-
-def edge_count(n: int) -> int:
-    """(n**2 - sum of squared class sizes) / 2."""
-    check_modulus(n)
-    return edge_count_of_parts(n, divisor_phis(n))
-
-
-def edge_count_of_parts(n: int, parts: list[tuple[int, int]]) -> int:
-    """edge_count(n) from the (d, phi(d)) table of n."""
-    return (n * n - sum(size * size for _, size in parts)) // 2
-
-
-def girth(n: int) -> int | float:
-    """3 for composite n (three classes give a triangle), else acyclic."""
-    check_modulus(n)
-    return INFINITE if is_prime(n) else 3
-
-
-def diameter(n: int) -> int:
-    """1 only for the single edge at n = 2, otherwise 2."""
-    check_modulus(n)
-    return 1 if n == 2 else 2
-
-
-def is_bipartite(n: int) -> bool:
-    check_modulus(n)
-    return is_prime(n)
-
-
-def is_complete(n: int) -> bool:
-    check_modulus(n)
-    return n == 2
+from indegraph.zn import check_modulus, divisor_count, divisor_phis, euler_phi, is_prime
 
 
 def clique_chromatic_number(n: int) -> int:
@@ -92,26 +38,39 @@ def invariants(n: int) -> InvariantSet:
     """The full record, from one (d, phi(d)) table. No graph is built."""
     check_modulus(n)
     parts = divisor_phis(n)
-    counts = degree_counts_of_parts(n, parts)
+    prime = is_prime(n)
+    # A vertex is adjacent to everything outside its own class.
+    degrees: Counter[int] = Counter()
+    for _, size in parts:
+        degrees[n - size] += size
     involutions = 2 if n % 2 == 0 else 1
+    units = parts[-1][1]  # the class of order n
     return InvariantSet(
         n=n,
         tier=CLOSED_FORM,
         involutions=involutions,
-        neither=0 if n == 2 else n - euler_phi(n) - involutions,
-        edge_count=edge_count_of_parts(n, parts),
-        degree_counts=counts,
+        neither=0 if n == 2 else n - units - involutions,
+        # Every pair of residues except those within one class.
+        edge_count=(n * n - sum(size * size for _, size in parts)) // 2,
+        degree_counts=tuple(sorted(degrees.items(), reverse=True)),
         order_classes=tuple(parts),
         degree_items=None,
         connected=True,
-        complete=is_complete(n),
-        star=is_star_profile(n, dict(counts)),
-        girth=girth(n),
-        diameter=diameter(n),
-        bipartite=is_bipartite(n),
+        # Only n = 2 has every class of size one.
+        complete=n == 2,
+        star=is_star_profile(n, degrees),
+        # A prime n has two classes, {0} and the units, so the graph is
+        # a star; a composite n has three, hence a triangle.
+        girth=INFINITE if prime else 3,
+        # 1 only for the single edge at n = 2. Beyond it the units are
+        # pairwise non-adjacent, and non-adjacent vertices share the
+        # neighbor 0.
+        diameter=1 if n == 2 else 2,
+        bipartite=prime,
         partite_count=len(parts),
         multipartite=True,
         exact_tier=CLOSED_FORM,
+        # One vertex per class is a clique, and one color per class suffices.
         clique_number=len(parts),
         clique_vertices=None,
         chromatic_number=len(parts),

@@ -73,10 +73,6 @@ class IndependentGraph:
         self._check_vertex(a)
         return _iter_bits(self.rows[a])
 
-    def degree(self, a: int) -> int:
-        self._check_vertex(a)
-        return self.rows[a].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return self._quotient[2]
 
@@ -370,12 +366,6 @@ def max_clique(
 
     expand((1 << graph.n) - 1)
     return tuple(sorted(best))
-
-
-def clique_number(
-    graph: IndependentGraph, limit: int = DEFAULT_EXACT_SEARCH_LIMIT
-) -> int:
-    return len(max_clique(graph, limit))
 
 
 def greedy_coloring(graph: IndependentGraph) -> list[int]:

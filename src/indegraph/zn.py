@@ -20,9 +20,11 @@ input runs for longer than the budget allows.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
 from math import gcd, isqrt
 from operator import itemgetter
+from types import MappingProxyType
 
 INVOLUTION = "involution"
 UNIT = "unit"
@@ -163,8 +165,10 @@ def _rho(m: int, budget: int) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=None)
-def factorize(n: int) -> dict[int, int]:
+def factorize(n: int) -> Mapping[int, int]:
     """Prime factorization of n >= 1, as {prime: exponent} by ascending prime.
+
+    The cache hands the same mapping to every caller, so it is read-only.
 
     Trial division below TRIAL_LIMIT, then Miller-Rabin and Pollard-Brent
     rho on the cofactor (see the module docstring). Exact for every n
@@ -187,7 +191,7 @@ def factorize(n: int) -> dict[int, int]:
         pending += (d, m // d)
     for p in sorted(large):
         factors[p] = factors.get(p, 0) + 1
-    return factors
+    return MappingProxyType(factors)
 
 
 def euler_phi(n: int) -> int:

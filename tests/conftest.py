@@ -375,6 +375,14 @@ def per_divisor_invariants(n: int) -> InvariantSet:
     for size in sizes:
         counts[n - size] += size
     involutions = 2 if n % 2 == 0 else 1
+    # A complete multipartite graph is complete when every part is a
+    # single vertex; three parts hold a triangle, and two parts make
+    # K_{a,b}, a forest when a part is a single vertex and else of girth 4.
+    complete = all(size == 1 for size in sizes)
+    if len(sizes) >= 3:
+        girth = 3
+    else:
+        girth = inf if min(sizes) == 1 else 4
     return InvariantSet(
         n=n,
         tier=CLOSED_FORM,
@@ -385,11 +393,11 @@ def per_divisor_invariants(n: int) -> InvariantSet:
         order_classes=tuple(zip(divs, sizes)),
         degree_items=None,
         connected=True,
-        complete=closed_form.is_complete(n),
+        complete=complete,
         star=is_star_profile(n, counts),
-        girth=closed_form.girth(n),
-        diameter=closed_form.diameter(n),
-        bipartite=closed_form.is_bipartite(n),
+        girth=girth,
+        diameter=1 if complete else 2,
+        bipartite=len(sizes) <= 2,
         partite_count=len(divs),
         multipartite=True,
         exact_tier=CLOSED_FORM,

@@ -180,7 +180,7 @@ STRUCTURED_UP_TO_BUILD_LIMIT = (
 def test_closed_form_tier_matches_oracle_tier_up_to_build_limit(n):
     assert n <= oracle.DEFAULT_BUILD_LIMIT
     _statuses_agree_between_tiers(n)
-    assert oracle.build(n).girth() == closed_form.girth(n)
+    assert oracle.build(n).girth() == closed_form.invariants(n).girth
 
 
 def _statuses_agree_between_tiers(n):
@@ -301,5 +301,7 @@ def test_markdown_no_mismatch_case():
 
 
 def test_render_rejects_unknown_format():
-    with pytest.raises(ValueError):
-        render_report(sweep(2, 3), "xml")
+    report = sweep(2, 3)
+    for fmt in ("xml", "markdown", "MD"):
+        with pytest.raises(ValueError):
+            render_report(report, fmt)

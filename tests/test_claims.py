@@ -62,7 +62,7 @@ def test_edge_count_claimed_values():
 
 @given(st.integers(min_value=2, max_value=9))
 def test_edge_count_agrees_with_truth_below_ten(n):
-    assert claims.edge_count(n) == closed_form.edge_count(n)
+    assert claims.edge_count(n) == closed_form.invariants(n).edge_count
 
 
 def test_clique_number_claimed_values():

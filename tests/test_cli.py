@@ -151,36 +151,13 @@ def test_hamiltonian_outputs(capsys):
     assert out.startswith("prediction: hamiltonian\n")
 
 
-def test_env_limits_and_flag_precedence(capsys, monkeypatch):
+def test_limits_come_from_flags_only(capsys, monkeypatch):
+    # The environment sets no limit; only --oracle-limit lowers the default.
     monkeypatch.setenv("INDEGRAPH_ORACLE_LIMIT", "10")
-    code, _, err = run(capsys, "export", "50", "--format", "dot")
-    assert code == 1 and "capacity" in err
-    # explicit flag wins over the environment
-    code, out, _ = run(capsys, "--oracle-limit", "100", "export", "50", "--format", "edgelist")
+    code, out, _ = run(capsys, "export", "50", "--format", "edgelist")
     assert code == 0 and out.count("\n") > 100
-
-
-def test_env_rejects_garbage(capsys, monkeypatch):
-    monkeypatch.setenv("INDEGRAPH_EXACT_LIMIT", "lots")
-    code, _, err = run(capsys, "info", "6")
-    assert code == 1
-    assert "INDEGRAPH_EXACT_LIMIT" in err
-
-
-def test_jobs_env_used_by_sweep(capsys, monkeypatch):
-    monkeypatch.setenv("INDEGRAPH_JOBS", "2")
-    code, out, _ = run(capsys, "sweep", "2", "6", "--format", "csv")
-    assert code == 0
-    assert out.split("\n")[1].startswith("2,")
-
-
-def test_jobs_env_read_by_sweep_only(capsys, monkeypatch):
-    monkeypatch.setenv("INDEGRAPH_JOBS", "0")
-    code, _, _ = run(capsys, "info", "6")
-    assert code == 0
-    code, _, err = run(capsys, "sweep", "2", "6")
-    assert code == 1
-    assert "jobs" in err
+    code, _, err = run(capsys, "--oracle-limit", "10", "export", "50", "--format", "dot")
+    assert code == 1 and "capacity" in err
 
 
 def test_bad_limits_and_jobs_exit_one(capsys):

@@ -5,8 +5,6 @@ agree with the oracle on a decent range they are trusted as the
 fallback ground-truth tier for large n.
 """
 
-import math
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,12 +20,12 @@ def test_edge_count_frozen_values():
     # n: expected, checked by listing pairs of distinct orders by hand
     expected = {2: 1, 4: 5, 5: 4, 6: 13, 10: 33, 15: 70}
     for n, count in expected.items():
-        assert closed_form.edge_count(n) == count
+        assert closed_form.invariants(n).edge_count == count
 
 
 @given(moduli)
 def test_edge_count_matches_oracle(n):
-    assert closed_form.edge_count(n) == oracle.build(n).edge_count()
+    assert closed_form.invariants(n).edge_count == oracle.build(n).edge_count()
 
 
 @given(moduli)
@@ -41,8 +39,9 @@ def test_degree_matches_oracle(n):
 @given(moduli)
 def test_degree_counts_match_oracle(n):
     ground = oracle.invariants(oracle.build(n), exact_limit=2, hamiltonian_limit=2)
-    assert closed_form.degree_counts(n) == ground.degree_counts
-    assert closed_form.invariants(n).order_classes == ground.order_classes
+    inv = closed_form.invariants(n)
+    assert inv.degree_counts == ground.degree_counts
+    assert inv.order_classes == ground.order_classes
 
 
 def test_part_sizes():
@@ -60,30 +59,31 @@ def test_part_sizes_are_totients(n):
 @pytest.mark.parametrize("n", range(2, 120))
 def test_structure_flags_match_oracle(n):
     graph = oracle.build(n)
-    assert closed_form.girth(n) == graph.girth()
-    assert closed_form.diameter(n) == graph.diameter()
-    assert closed_form.is_bipartite(n) == graph.is_bipartite()
+    inv = closed_form.invariants(n)
+    assert inv.girth == graph.girth()
+    assert inv.diameter == graph.diameter()
+    assert inv.bipartite == graph.is_bipartite()
     complete = graph.edge_count() == n * (n - 1) // 2
-    assert closed_form.is_complete(n) == complete
+    assert inv.complete == complete
 
 
 def test_girth_split():
-    assert closed_form.girth(13) == INFINITE
-    assert closed_form.girth(2) == INFINITE
-    assert closed_form.girth(4) == 3
-    assert length_str(closed_form.girth(3)) == "INFINITE"
+    assert closed_form.invariants(13).girth == INFINITE
+    assert closed_form.invariants(2).girth == INFINITE
+    assert closed_form.invariants(4).girth == 3
+    assert length_str(closed_form.invariants(3).girth) == "INFINITE"
 
 
 def test_diameter_values():
-    assert closed_form.diameter(2) == 1
-    assert all(closed_form.diameter(n) == 2 for n in range(3, 50))
+    assert closed_form.invariants(2).diameter == 1
+    assert all(closed_form.invariants(n).diameter == 2 for n in range(3, 50))
 
 
 @pytest.mark.parametrize("n", range(2, 65))
 def test_clique_chromatic_closure(n):
     graph = oracle.build(n)
     expected = closed_form.clique_chromatic_number(n)
-    assert oracle.clique_number(graph) == expected
+    assert len(oracle.max_clique(graph)) == expected
     assert oracle.chromatic_number(graph) == expected
     assert expected == len(zn.divisors(n))
 
@@ -120,8 +120,6 @@ def test_invariants_consistent(n):
 def test_invariants_match_per_divisor_formulas(n):
     inv = closed_form.invariants(n)
     assert inv == per_divisor_invariants(n)
-    assert closed_form.edge_count(n) == inv.edge_count
-    assert closed_form.degree_counts(n) == inv.degree_counts
     assert closed_form.clique_chromatic_number(n) == inv.partite_count
     assert inv.order_classes == tuple((d, zn.euler_phi(d)) for d in zn.divisors(n))
 
@@ -137,12 +135,27 @@ def test_invariants_large_prime_is_fast_and_star_shaped():
 
 
 def test_degree_counts_frozen_values():
-    assert closed_form.degree_counts(6) == ((5, 2), (4, 4))
-    assert closed_form.degree_counts(12) == ((11, 2), (10, 6), (8, 4))
+    assert closed_form.invariants(6).degree_counts == ((5, 2), (4, 4))
+    assert closed_form.invariants(12).degree_counts == ((11, 2), (10, 6), (8, 4))
 
 
 def test_degree_rejects_bad_input():
     with pytest.raises(ValueError):
-        closed_form.degree_counts(1)
+        closed_form.invariants(1)
     with pytest.raises(ValueError):
-        closed_form.edge_count(1)
+        closed_form.clique_chromatic_number(1)
+    with pytest.raises(ValueError):
+        closed_form.is_hamiltonian(1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 12, 10**9 + 7, 2 * 3 * 5 * 7 * 11 * 13])
+def test_invariants_test_primality_once(n, monkeypatch):
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return zn.is_prime(m)
+
+    monkeypatch.setattr(closed_form, "is_prime", counted)
+    closed_form.invariants(n)
+    assert calls == [n]

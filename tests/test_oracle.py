@@ -52,7 +52,7 @@ def test_degrees(n):
     graph = oracle.build(n)
     degs = graph.degrees()
     for a in range(n):
-        assert degs[a] == graph.degree(a) == naive_degree(a, n)
+        assert degs[a] == naive_degree(a, n)
     # handshake
     assert sum(degs) == 2 * graph.edge_count()
 
@@ -67,7 +67,7 @@ def test_neighbors_of_zero():
 def test_vertex_range_checked():
     graph = oracle.build(5)
     with pytest.raises(ValueError):
-        graph.degree(5)
+        graph.neighbors(5)
     with pytest.raises(ValueError):
         graph.has_edge(-1, 2)
 
@@ -307,7 +307,7 @@ def test_clique_number_matches_subset_search(n):
 def test_clique_number_is_divisor_count_up_to_64():
     for n in range(2, 65):
         graph = oracle.build(n)
-        assert oracle.clique_number(graph) == len(zn.divisors(n))
+        assert len(oracle.max_clique(graph)) == len(zn.divisors(n))
 
 
 @pytest.mark.parametrize("n", range(2, 9))

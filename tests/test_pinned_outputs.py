@@ -111,10 +111,7 @@ INFO_OUTPUTS = (
 
 
 @pytest.mark.parametrize("argv, code, stdout_digest", INFO_OUTPUTS)
-def test_info_output_is_pinned(argv, code, stdout_digest, monkeypatch):
-    for name in ("INDEGRAPH_ORACLE_LIMIT", "INDEGRAPH_EXACT_LIMIT",
-                 "INDEGRAPH_HAMILTONIAN_LIMIT", "INDEGRAPH_JOBS"):
-        monkeypatch.delenv(name, raising=False)
+def test_info_output_is_pinned(argv, code, stdout_digest):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         got = cli.main(argv.split())

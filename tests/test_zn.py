@@ -110,6 +110,14 @@ def test_factorize_keys_ascend():
     assert keys == sorted(keys) == [2, 97, 65537, 1_000_003, 999_999_999_989]
 
 
+def test_factorize_result_is_read_only():
+    # The cache hands every caller the same mapping; a write must not stick.
+    zn.factorize.cache_clear()
+    with pytest.raises(TypeError):
+        zn.factorize(12)[2] = 5
+    assert zn.divisor_count(12) == 6
+
+
 @pytest.mark.parametrize("n, cofactor", [
     pytest.param(MERSENNE_89, MERSENNE_89, id="prime"),
     pytest.param(6 * MERSENNE_89, MERSENNE_89, id="small-times-prime"),
