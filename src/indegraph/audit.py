@@ -230,28 +230,25 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
         # on its order (2a = 0 exactly when d <= 2, a unit exactly when
         # d = n, involution first at n = 2), so the claim is evaluated
         # once per kind, not once per divisor of n.
-        items = (((n // d) % n, d, n - size, size) for d, size in truth.order_classes)
         by_kind: dict[str, claims.DegreeClaim] = {}
-
-        def claim_of(vertex: int, order: int) -> claims.DegreeClaim:
+        for order, size in truth.order_classes:
             kind = zn.INVOLUTION if order <= 2 else zn.UNIT if order == n else zn.NEITHER
             claim = by_kind.get(kind)
             if claim is None:
-                claim = by_kind[kind] = claims.degree_claim(vertex, n)
-            return claim
-
+                claim = by_kind[kind] = claims.degree_claim((n // order) % n, n)
+            if not claim.matches(n - size):
+                deviating += size
+                if first_bad is None:
+                    first_bad = ((n // order) % n, order, n - size, claim)
     else:
         # The oracle tier evaluates the claim once per vertex; the
         # benchmark's tests pin that call count.
-        def claim_of(vertex: int, order: int) -> claims.DegreeClaim:
-            return claims.degree_claim(vertex, n)
-
-    for vertex, order, deg, size in items:
-        claim = claim_of(vertex, order)
-        if not claim.matches(deg):
-            deviating += size
-            if first_bad is None:
-                first_bad = (vertex, order, deg, claim)
+        for vertex, order, deg, size in items:
+            claim = claims.degree_claim(vertex, n)
+            if not claim.matches(deg):
+                deviating += size
+                if first_bad is None:
+                    first_bad = (vertex, order, deg, claim)
     if first_bad is None:
         return claimed, "all degrees as claimed", True, None
     vertex, order, deg, claim = first_bad

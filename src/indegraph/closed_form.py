@@ -13,6 +13,7 @@ here.
 from __future__ import annotations
 
 from collections import Counter
+from operator import itemgetter
 
 from indegraph.invariants import CLOSED_FORM, INFINITE, InvariantSet, is_star_profile
 from indegraph.zn import check_modulus, divisor_count, divisor_phis, euler_phi, is_prime
@@ -39,10 +40,10 @@ def invariants(n: int) -> InvariantSet:
     check_modulus(n)
     parts = divisor_phis(n)
     prime = is_prime(n)
-    # A vertex is adjacent to everything outside its own class.
-    degrees: Counter[int] = Counter()
-    for _, size in parts:
-        degrees[n - size] += size
+    # A vertex is adjacent to everything outside its own class, so the s
+    # vertices of each class of size s have degree n - s.
+    sizes = Counter(map(itemgetter(1), parts))
+    degrees = {n - size: size * count for size, count in sizes.items()}
     involutions = 2 if n % 2 == 0 else 1
     units = parts[-1][1]  # the class of order n
     return InvariantSet(
@@ -51,7 +52,7 @@ def invariants(n: int) -> InvariantSet:
         involutions=involutions,
         neither=0 if n == 2 else n - units - involutions,
         # Every pair of residues except those within one class.
-        edge_count=(n * n - sum(size * size for _, size in parts)) // 2,
+        edge_count=(n * n - sum(size * size * count for size, count in sizes.items())) // 2,
         degree_counts=tuple(sorted(degrees.items(), reverse=True)),
         order_classes=tuple(parts),
         degree_items=None,

@@ -201,7 +201,12 @@ def test_closed_form_tier_matches_oracle_tier_on_sampled_n(n):
     _statuses_agree_between_tiers(n)
 
 
-@pytest.mark.parametrize("n", SMOOTH_MODULI)
+# Above the build limit: a prime, where no residue is of the "neither"
+# kind, and 2p and pq, where some are.
+UNSMOOTH_BEYOND_BUILD_LIMIT = (10**9 + 7, 2 * (10**9 + 7), 100003 * 100019)
+
+
+@pytest.mark.parametrize("n", SMOOTH_MODULI + UNSMOOTH_BEYOND_BUILD_LIMIT)
 @pytest.mark.usefixtures("empty_factorize_cache")
 def test_closed_form_audit_matches_per_divisor_reference(n, monkeypatch):
     verdicts = audit_n(n)
