@@ -24,11 +24,24 @@ def test_edge_count_frozen_values():
 
 
 @given(moduli)
+def test_edge_count_matches_oracle(n):
+    assert closed_form.invariants(n).edge_count == oracle.build(n).edge_count()
+
+
+@given(moduli)
 def test_degree_matches_oracle(n):
     # Each vertex is adjacent to everything outside its own order class.
     sizes = dict(closed_form.invariants(n).order_classes)
     expected = tuple(n - sizes[zn.element_order(a, n)] for a in range(n))
     assert oracle.build(n).degrees() == expected
+
+
+@given(moduli)
+def test_degree_counts_match_oracle(n):
+    ground = oracle.invariants(oracle.build(n), exact_limit=2, hamiltonian_limit=2)
+    inv = closed_form.invariants(n)
+    assert inv.degree_counts == ground.degree_counts
+    assert inv.order_classes == ground.order_classes
 
 
 # The InvariantSet fields that do not depend on the search limits.
