@@ -3,15 +3,11 @@
 Exit codes are a stable scripting contract: 0 on success, 1 for usage
 or capacity errors on required operations, 2 when --strict finds a
 mismatch (or `info --verify` finds a disagreement).
-
-`main` builds one argument parser per process, on its first call, and
-reuses it; parsing leaves nothing behind in it.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -308,14 +304,9 @@ _HANDLERS = {
 }
 
 
-@functools.cache
-def _parser() -> _Parser:
-    """The parser `main` shares across calls, built when first needed."""
-    return build_parser()
-
-
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         config = _config_from(args)
         return _HANDLERS[args.command](args, config)

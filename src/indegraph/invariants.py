@@ -65,12 +65,7 @@ def _json_text(value: object, indent: str) -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
-        # Plain ints are written in place; bools and int subclasses take
-        # the general path.
-        items = [
-            int.__repr__(item) if type(item) is int else _json_text(item, inner)
-            for item in value
-        ]
+        items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
         if not value:

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
@@ -188,52 +185,3 @@ def test_sweep_range_validation(capsys):
     code, _, err = run(capsys, "sweep", "9", "3")
     assert code == 1
     assert "lo" in err
-
-
-def _outcome(capsys, argv):
-    """Exit code and stdout of one call, usage errors included."""
-    try:
-        code = cli.main(list(argv))
-    except SystemExit as exc:
-        code = exc.code
-    return code, capsys.readouterr().out
-
-
-def _first_in_process(capsys, argv):
-    """The outcome of `argv` as the first call, on a newly built parser."""
-    cli._parser.cache_clear()
-    return _outcome(capsys, argv)
-
-
-@pytest.mark.parametrize(
-    "before, after",
-    [
-        (["info", "6", "--json"], ["info", "6"]),
-        (["info", "6", "--verify"], ["info", "6"]),
-        (["--oracle-limit", "10", "export", "50", "--format", "edgelist"],
-         ["export", "50", "--format", "edgelist"]),
-        (["info"], ["info", "6"]),
-        (["sweep", "2", "6", "--format", "csv", "--jobs", "1"],
-         ["sweep", "2", "3", "--jobs", "1"]),
-    ],
-    ids=["json-flag", "verify-flag", "global-limit", "usage-error", "sweep-format"],
-)
-def test_shared_parser_leaks_nothing_between_calls(capsys, before, after):
-    expected_before = _first_in_process(capsys, before)
-    expected_after = _first_in_process(capsys, after)
-    # Run first, the two calls differ, so whatever leaked would show.
-    assert expected_before != expected_after
-    cli._parser.cache_clear()
-    assert _outcome(capsys, before) == expected_before
-    assert _outcome(capsys, after) == expected_after
-    assert cli._parser.cache_info().misses == 1
-
-
-def test_parser_is_not_built_at_import():
-    src = str(Path(cli.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    probe = "from indegraph import cli; print(cli._parser.cache_info().currsize)"
-    env = dict(os.environ, PYTHONPATH=path)
-    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout == "0\n"
