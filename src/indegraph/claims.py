@@ -8,8 +8,6 @@ where the two disagree with ground truth on which side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from indegraph.invariants import INFINITE
 from indegraph.zn import (
     check_modulus,
@@ -22,20 +20,6 @@ from indegraph.zn import (
 
 WEAKLY_PERFECT = "WEAKLY_PERFECT"
 STRONGLY_PERFECT = "STRONGLY_PERFECT"
-
-
-@dataclass(frozen=True)
-class DegreeClaim:
-    """Claimed degree of one vertex: a single value, or either of two."""
-
-    kind: str  # "EXACT" or "EITHER_OF"
-    values: tuple[int, ...]
-
-    def matches(self, observed: int) -> bool:
-        return observed in self.values
-
-    def __str__(self) -> str:
-        return " or ".join(str(v) for v in self.values)
 
 
 def involution_count(n: int) -> int:
@@ -59,15 +43,15 @@ def neither_count(n: int, swapped: bool = False) -> int:
     return n - euler_phi(n) - (1 if even else 2)
 
 
-def degree_claim(a: int, n: int) -> DegreeClaim:
-    """Claimed degree of vertex a under the three printed cases."""
+def degree_claim(a: int, n: int) -> tuple[int, ...]:
+    """Allowed degrees of vertex a under the three printed cases."""
     kind = classify_residue(a, n)
     if kind == INVOLUTION:
-        return DegreeClaim("EXACT", (n - 1,))
+        return (n - 1,)
     if kind == UNIT:
-        return DegreeClaim("EXACT", (n - euler_phi(n),))
+        return (n - euler_phi(n),)
     phi = euler_phi(n)
-    return DegreeClaim("EITHER_OF", (phi + 2, phi + 1))
+    return (phi + 2, phi + 1)
 
 
 def edge_count(n: int) -> int:

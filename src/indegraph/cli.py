@@ -13,7 +13,7 @@ import os
 import sys
 
 from indegraph import closed_form, oracle, zn
-from indegraph.audit import AuditConfig, render_report, sweep
+from indegraph.audit import AuditConfig, oracle_record, render_report, sweep
 from indegraph.invariants import json_text, length_str, profile_str
 
 EXIT_OK = 0
@@ -91,11 +91,7 @@ def _cmd_info(args: argparse.Namespace, config: AuditConfig) -> int:
     disagreements = 0
     if args.verify:
         if n <= config.oracle_build_limit:
-            ground = oracle.invariants(
-                oracle.build(n, limit=config.oracle_build_limit),
-                exact_limit=config.exact_search_limit,
-                hamiltonian_limit=config.hamiltonian_limit,
-            )
+            ground = oracle_record(n, config)
             for name, field in _INFO_ROWS:
                 truth = getattr(ground, field)
                 if truth is None:

@@ -289,8 +289,10 @@ def build(n: int, limit: int = DEFAULT_BUILD_LIMIT) -> IndependentGraph:
 
     The non-neighbors of a vertex are exactly the members of its own
     order class (itself included), so each adjacency row is the
-    complement of one class mask. Moduli above `limit` are refused: the
-    rows take n**2 bits in total.
+    complement of one class mask, one row object shared by the class:
+    the rows take (number of divisors of n) * n bits. Moduli above
+    `limit` are refused, as this build and the quotient pass take time
+    quadratic in n.
     """
     check_modulus(n)
     if n > limit:

@@ -201,6 +201,25 @@ def test_closed_form_tier_matches_oracle_tier_on_sampled_n(n):
     _statuses_agree_between_tiers(n)
 
 
+def test_tier_statuses_agree_on_every_n_up_to_2048():
+    by_oracle = sweep(2, 2048, AuditConfig(), jobs=2)
+    closed_only = AuditConfig(oracle_build_limit=2, exact_search_limit=2,
+                              hamiltonian_limit=2)
+    by_closed_form = sweep(2, 2048, closed_only, jobs=2)
+    assert {v.ground_truth for row in by_oracle.results for v in row
+            if v.theorem is TheoremId.T2_4} == {"ORACLE"}
+    assert {v.ground_truth for row in by_closed_form.results[1:] for v in row} == {
+        "CLOSED_FORM"
+    }
+    disagreements = [
+        (a.n, a.theorem, a.status, b.status)
+        for row_a, row_b in zip(by_oracle.results, by_closed_form.results)
+        for a, b in zip(row_a, row_b)
+        if a.status is not b.status
+    ]
+    assert disagreements == []
+
+
 # Above the build limit: a prime, where no residue is of the "neither"
 # kind, and 2p and pq, where some are.
 UNSMOOTH_BEYOND_BUILD_LIMIT = (10**9 + 7, 2 * (10**9 + 7), 100003 * 100019)

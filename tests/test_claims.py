@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from indegraph import claims, closed_form
 from indegraph.audit import TheoremId, audit_n
 from indegraph.invariants import INFINITE
+from indegraph.zn import INVOLUTION, NEITHER, UNIT, classify_residue, euler_phi
 
 moduli = st.integers(min_value=2, max_value=300)
 
@@ -35,20 +36,28 @@ def test_neither_count_swapped_cases():
 
 
 def test_degree_claim_kinds():
-    assert claims.degree_claim(0, 9).values == (8,)  # involution: n - 1
-    assert claims.degree_claim(5, 10).values == (9,)
-    assert claims.degree_claim(3, 10).values == (6,)  # unit: n - phi(n)
-    assert claims.degree_claim(2, 10).values == (6, 5)  # rest: phi+2 or phi+1
-    assert claims.degree_claim(2, 10).matches(6)
-    assert not claims.degree_claim(2, 10).matches(7)
-    assert str(claims.degree_claim(2, 10)) == "6 or 5"
+    assert claims.degree_claim(0, 9) == (8,)  # involution: n - 1
+    assert claims.degree_claim(5, 10) == (9,)
+    assert claims.degree_claim(3, 10) == (6,)  # unit: n - phi(n)
+    assert claims.degree_claim(2, 10) == (6, 5)  # rest: phi+2 or phi+1
+    assert 6 in claims.degree_claim(2, 10)
+    assert 7 not in claims.degree_claim(2, 10)
 
 
 def test_degree_claim_first_deviation():
     # order-6 elements of Z_12 have degree 10; neither 6 nor 5
-    claim = claims.degree_claim(2, 12)
-    assert claim.values == (6, 5)
-    assert not claim.matches(10)
+    assert claims.degree_claim(2, 12) == (6, 5)
+    assert 10 not in claims.degree_claim(2, 12)
+
+
+def test_degree_claim_follows_residue_kind():
+    # n = 2 covers residue 1, both a unit and an involution: the
+    # involution case comes first.
+    for n in range(2, 65):
+        phi = euler_phi(n)
+        by_kind = {INVOLUTION: (n - 1,), UNIT: (n - phi,), NEITHER: (phi + 2, phi + 1)}
+        for a in range(n):
+            assert claims.degree_claim(a, n) == by_kind[classify_residue(a, n)]
 
 
 def test_edge_count_claimed_values():
