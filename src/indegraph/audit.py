@@ -233,18 +233,14 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
     deviating = 0
     items = truth.degree_items
     if items is None:
-        # One representative per order class: (n // d) % n has order
-        # exactly d; the modulus folds d = 1 onto 0. The claim depends
-        # only on the representative's residue kind, and the kind only
-        # on its order (2a = 0 exactly when d <= 2, a unit exactly when
-        # d = n, involution first at n = 2), so the claim is evaluated
-        # once per kind, not once per divisor of n.
+        # One class per order d, represented by (n // d) % n; the claim
+        # depends only on the kind, so it is evaluated once per kind.
         by_kind: dict[str, tuple[int, ...]] = {}
         for order, size in truth.order_classes:
-            kind = zn.INVOLUTION if order <= 2 else zn.UNIT if order == n else zn.NEITHER
+            kind = zn.order_kind(order, n)
             claim = by_kind.get(kind)
             if claim is None:
-                claim = by_kind[kind] = claims.degree_claim((n // order) % n, n)
+                claim = by_kind[kind] = claims.degree_claim(kind, n)
             if n - size not in claim:
                 deviating += size
                 if first_bad is None:
@@ -253,7 +249,7 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
         # The oracle tier evaluates the claim once per vertex; the
         # benchmark's tests pin that call count.
         for vertex, order, deg, size in items:
-            claim = claims.degree_claim(vertex, n)
+            claim = claims.degree_claim(zn.order_kind(order, n), n)
             if deg not in claim:
                 deviating += size
                 if first_bad is None:
@@ -495,7 +491,7 @@ def sweep(
     ns = range(lo, hi + 1)
     if jobs > 1 and hi > lo:
         task = partial(audit_n, config=cfg)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
             results = tuple(tuple(r) for r in pool.map(task, ns, chunksize=4))
     else:
         results = tuple(tuple(audit_n(n, cfg)) for n in ns)

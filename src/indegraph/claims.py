@@ -9,14 +9,7 @@ where the two disagree with ground truth on which side.
 from __future__ import annotations
 
 from indegraph.invariants import INFINITE
-from indegraph.zn import (
-    check_modulus,
-    classify_residue,
-    euler_phi,
-    is_prime,
-    INVOLUTION,
-    UNIT,
-)
+from indegraph.zn import INVOLUTION, UNIT, check_modulus, euler_phi, is_prime
 
 WEAKLY_PERFECT = "WEAKLY_PERFECT"
 STRONGLY_PERFECT = "STRONGLY_PERFECT"
@@ -43,9 +36,9 @@ def neither_count(n: int, swapped: bool = False) -> int:
     return n - euler_phi(n) - (1 if even else 2)
 
 
-def degree_claim(a: int, n: int) -> tuple[int, ...]:
-    """Allowed degrees of vertex a under the three printed cases."""
-    kind = classify_residue(a, n)
+def degree_claim(kind: str, n: int) -> tuple[int, ...]:
+    """Allowed degrees of a vertex of the given kind (zn.order_kind)."""
+    check_modulus(n)
     if kind == INVOLUTION:
         return (n - 1,)
     if kind == UNIT:

@@ -3,8 +3,8 @@
 Everything downstream hangs off the additive order of a residue,
 o(a) = n / gcd(a, n). Grouping Z_n by order yields one class of size
 phi(d) per divisor d of n; those classes are the parts of the
-independent graph. The functions here work on one residue or on the
-factorization of n and never enumerate Z_n: the oracle groups the
+independent graph. The functions here work on the factorization of n,
+or on one order d, and never enumerate Z_n: the oracle groups the
 residues itself, and the closed forms need only the divisors.
 
 Factoring and primality share one path. Trial division by the primes
@@ -64,12 +64,6 @@ def check_modulus(n: int) -> None:
     """Reject anything below the smallest supported modulus."""
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
-
-
-def check_residue(a: int, n: int) -> None:
-    check_modulus(n)
-    if not 0 <= a < n:
-        raise ValueError(f"residue {a} out of range [0, {n})")
 
 
 def _trial_division(n: int) -> tuple[dict[int, int], int]:
@@ -258,21 +252,18 @@ def is_prime(n: int) -> bool:
     return not small and _is_cofactor_prime(rest)
 
 
-def element_order(a: int, n: int) -> int:
-    """Additive order of a mod n, the least k >= 1 with k*a = 0 (mod n)."""
-    check_residue(a, n)
-    return n // gcd(a, n)
+def order_kind(d: int, n: int) -> str:
+    """Case label of the claimed degree formulas for a residue of order d.
 
-
-def classify_residue(a: int, n: int) -> str:
-    """Case label used by the claimed degree formulas.
-
-    Involutions take precedence over units, so at n = 2 the residue 1
-    (which is both) lands in the involution case.
+    The kind depends on the order alone: 2a = 0 exactly when o(a)
+    divides 2, and gcd(a, n) = 1 exactly when o(a) = n. At n = 2 the
+    residue 1 is both, and the involution case wins.
     """
-    check_residue(a, n)
-    if (2 * a) % n == 0:
+    check_modulus(n)
+    if d < 1 or n % d:
+        raise ValueError(f"order {d} does not divide {n}")
+    if d <= 2:
         return INVOLUTION
-    if gcd(a, n) == 1:
+    if d == n:
         return UNIT
     return NEITHER

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import inf
+from math import gcd, inf
 
 import pytest
 
@@ -63,6 +63,19 @@ def naive_order(a: int, n: int) -> int:
     while (k * a) % n != 0:
         k += 1
     return k
+
+
+def classify_residue(a: int, n: int) -> str:
+    """Case label of the claimed degree formulas, read off the residue.
+
+    Involutions take precedence over units, so at n = 2 the residue 1
+    (which is both) lands in the involution case.
+    """
+    if (2 * a) % n == 0:
+        return zn.INVOLUTION
+    if gcd(a, n) == 1:
+        return zn.UNIT
+    return zn.NEITHER
 
 
 def naive_adjacent(a: int, b: int, n: int) -> bool:

@@ -134,6 +134,30 @@ def test_sweep_parallel_equals_serial():
     assert serial.summary == parallel.summary
 
 
+def test_sweep_starts_no_more_workers_than_moduli(monkeypatch):
+    # A fake pool: it records the worker count and maps in-process, so
+    # no worker process is ever started.
+    asked = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(audit, "ProcessPoolExecutor", InProcessPool)
+    report = sweep(2, 4, jobs=10**6)
+    assert asked == [3]
+    assert report == sweep(2, 4, jobs=1)
+
+
 def test_oracle_tier_never_calls_the_closed_forms(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("closed form called inside the oracle's limits")
@@ -255,14 +279,15 @@ def test_closed_form_tier_evaluates_one_degree_claim_per_kind(n, config, monkeyp
     calls = []
     claim = claims.degree_claim
 
-    def counted(a, m):
-        calls.append(a)
-        return claim(a, m)
+    def counted(kind, m):
+        calls.append(kind)
+        return claim(kind, m)
 
     monkeypatch.setattr(claims, "degree_claim", counted)
     verdicts = audit_n(n, config)
     assert verdict(verdicts, TheoremId.T2_7).ground_truth == "CLOSED_FORM"
     assert 1 <= len(calls) <= 3
+    assert len(calls) == len(set(calls))
 
 
 def test_fallback_disabled_yields_skips():

@@ -9,7 +9,9 @@ from hypothesis import given, strategies as st
 from indegraph import claims, closed_form
 from indegraph.audit import TheoremId, audit_n
 from indegraph.invariants import INFINITE
-from indegraph.zn import INVOLUTION, NEITHER, UNIT, classify_residue, euler_phi
+from indegraph.zn import INVOLUTION, NEITHER, UNIT, euler_phi, order_kind
+
+from conftest import classify_residue, naive_order
 
 moduli = st.integers(min_value=2, max_value=300)
 
@@ -36,18 +38,21 @@ def test_neither_count_swapped_cases():
 
 
 def test_degree_claim_kinds():
-    assert claims.degree_claim(0, 9) == (8,)  # involution: n - 1
-    assert claims.degree_claim(5, 10) == (9,)
-    assert claims.degree_claim(3, 10) == (6,)  # unit: n - phi(n)
-    assert claims.degree_claim(2, 10) == (6, 5)  # rest: phi+2 or phi+1
-    assert 6 in claims.degree_claim(2, 10)
-    assert 7 not in claims.degree_claim(2, 10)
+    assert claims.degree_claim(INVOLUTION, 9) == (8,)  # n - 1
+    assert claims.degree_claim(INVOLUTION, 10) == (9,)
+    assert claims.degree_claim(UNIT, 10) == (6,)  # n - phi(n)
+    assert claims.degree_claim(NEITHER, 10) == (6, 5)  # phi+2 or phi+1
+    assert 6 in claims.degree_claim(NEITHER, 10)
+    assert 7 not in claims.degree_claim(NEITHER, 10)
+    with pytest.raises(ValueError):
+        claims.degree_claim(INVOLUTION, 1)
 
 
 def test_degree_claim_first_deviation():
-    # order-6 elements of Z_12 have degree 10; neither 6 nor 5
-    assert claims.degree_claim(2, 12) == (6, 5)
-    assert 10 not in claims.degree_claim(2, 12)
+    # vertex 2 of Z_12 has order 6 and degree 10; neither 6 nor 5
+    assert order_kind(naive_order(2, 12), 12) == NEITHER
+    assert claims.degree_claim(NEITHER, 12) == (6, 5)
+    assert 10 not in claims.degree_claim(NEITHER, 12)
 
 
 def test_degree_claim_follows_residue_kind():
@@ -57,7 +62,8 @@ def test_degree_claim_follows_residue_kind():
         phi = euler_phi(n)
         by_kind = {INVOLUTION: (n - 1,), UNIT: (n - phi,), NEITHER: (phi + 2, phi + 1)}
         for a in range(n):
-            assert claims.degree_claim(a, n) == by_kind[classify_residue(a, n)]
+            kind = order_kind(naive_order(a, n), n)
+            assert claims.degree_claim(kind, n) == by_kind[classify_residue(a, n)]
 
 
 def test_edge_count_claimed_values():

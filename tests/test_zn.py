@@ -4,7 +4,13 @@ from hypothesis import given, strategies as st
 import indegraph
 from indegraph import oracle, zn
 
-from conftest import naive_factorize, naive_order, naive_phi, naive_primes_below
+from conftest import (
+    classify_residue,
+    naive_factorize,
+    naive_order,
+    naive_phi,
+    naive_primes_below,
+)
 
 moduli = st.integers(min_value=2, max_value=400)
 
@@ -181,41 +187,46 @@ def test_is_prime_matches_trial(n):
 
 
 @given(moduli)
-def test_element_order_is_least_annihilator(n):
-    for a in range(n):
-        assert zn.element_order(a, n) == naive_order(a, n)
-
-
-@given(moduli)
 def test_order_invariant_under_negation(n):
     # -a generates the same cyclic subgroup as a, so same order; in
     # particular negation permutes units, involutions, and the rest.
     for a in range(n):
-        assert zn.element_order(a, n) == zn.element_order((n - a) % n, n)
-        assert zn.classify_residue(a, n) == zn.classify_residue((n - a) % n, n)
+        assert naive_order(a, n) == naive_order((n - a) % n, n)
+        assert classify_residue(a, n) == classify_residue((n - a) % n, n)
 
 
-def test_element_order_rejects_out_of_range():
+def test_order_kind_rejects_non_divisor():
+    for d in (-2, 0, 4, 7, 11):
+        with pytest.raises(ValueError):
+            zn.order_kind(d, 10)
     with pytest.raises(ValueError):
-        zn.element_order(5, 5)
-    with pytest.raises(ValueError):
-        zn.element_order(-1, 5)
+        zn.order_kind(1, 1)
 
 
 def test_classify_residue_cases():
-    assert zn.classify_residue(0, 9) == zn.INVOLUTION
-    assert zn.classify_residue(5, 10) == zn.INVOLUTION  # 2*5 = 10
-    assert zn.classify_residue(3, 10) == zn.UNIT
-    assert zn.classify_residue(2, 10) == zn.NEITHER
-    # at n=2 the residue 1 is both; involution wins
-    assert zn.classify_residue(1, 2) == zn.INVOLUTION
+    cases = (
+        (0, 9, zn.INVOLUTION),
+        (5, 10, zn.INVOLUTION),  # 2*5 = 10
+        (3, 10, zn.UNIT),
+        (2, 10, zn.NEITHER),
+        (1, 2, zn.INVOLUTION),  # at n=2 the residue 1 is both; involution wins
+    )
+    for a, n, kind in cases:
+        assert classify_residue(a, n) == kind
+        assert zn.order_kind(naive_order(a, n), n) == kind
+
+
+def test_order_kind_matches_residue_kind_to_512():
+    for n in range(2, 513):
+        for a in range(n):
+            assert zn.order_kind(naive_order(a, n), n) == classify_residue(a, n), (a, n)
 
 
 def _kinds(n):
-    """Z_n split by classify_residue: {kind: set of residues}."""
+    """Z_n split by the reference classify_residue: {kind: set of residues}."""
     out = {zn.INVOLUTION: set(), zn.UNIT: set(), zn.NEITHER: set()}
     for a in range(n):
-        out[zn.classify_residue(a, n)].add(a)
+        out[classify_residue(a, n)].add(a)
     return out
 
 
@@ -235,11 +246,6 @@ def test_special_sets_overlap_at_2():
 @given(moduli)
 def test_special_sets_cover(n):
     kinds = _kinds(n)
-    # the kind is fixed by the order d, as the closed-form audit assumes
-    for kind, members in kinds.items():
-        for a in members:
-            d = zn.element_order(a, n)
-            assert kind == (zn.INVOLUTION if d <= 2 else zn.UNIT if d == n else zn.NEITHER)
     assert len(kinds[zn.INVOLUTION]) == (2 if n % 2 == 0 else 1)
     if n > 2:
         assert len(kinds[zn.UNIT]) == zn.euler_phi(n)
@@ -250,7 +256,7 @@ def test_special_sets_cover(n):
 def test_order_decomposition_classes(n):
     classes = {}
     for a in range(n):
-        classes.setdefault(zn.element_order(a, n), []).append(a)
+        classes.setdefault(naive_order(a, n), []).append(a)
     assert sorted(classes) == zn.divisors(n)
     for d, members in classes.items():
         assert len(members) == zn.euler_phi(d)
