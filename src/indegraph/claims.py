@@ -9,7 +9,7 @@ where the two disagree with ground truth on which side.
 from __future__ import annotations
 
 from indegraph.invariants import INFINITE
-from indegraph.zn import INVOLUTION, UNIT, check_modulus, euler_phi, is_prime
+from indegraph.zn import INVOLUTION, NEITHER, UNIT, check_modulus, euler_phi, is_prime
 
 WEAKLY_PERFECT = "WEAKLY_PERFECT"
 STRONGLY_PERFECT = "STRONGLY_PERFECT"
@@ -43,8 +43,10 @@ def degree_claim(kind: str, n: int) -> tuple[int, ...]:
         return (n - 1,)
     if kind == UNIT:
         return (n - euler_phi(n),)
-    phi = euler_phi(n)
-    return (phi + 2, phi + 1)
+    if kind == NEITHER:
+        phi = euler_phi(n)
+        return (phi + 2, phi + 1)
+    raise ValueError(f"unknown residue kind {kind!r}")
 
 
 def edge_count(n: int) -> int:

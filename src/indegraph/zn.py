@@ -7,15 +7,17 @@ independent graph. The functions here work on the factorization of n,
 or on one order d, and never enumerate Z_n: the oracle groups the
 residues itself, and the closed forms need only the divisors.
 
-Factoring and primality share one path. Trial division by the primes
-below TRIAL_LIMIT settles every n below TRIAL_LIMIT**2 and strips the
-small factors of any other n. What is left is tested with deterministic
-Miller-Rabin over the thirteen prime bases 2..41, which is exact below
-MILLER_RABIN_LIMIT (about 3.3 * 10**24), and split with Pollard-Brent
-rho under a budget of RHO_BUDGET steps per factorization. A cofactor
-at or above MILLER_RABIN_LIMIT, or a split that overruns the budget,
-raises CapacityError: no verdict here is ever probabilistic, and no
-input runs for longer than the budget allows.
+factorize is the one place that factors n and the one place that
+checks n >= 1; primality, phi and the divisors are read off its cached
+result. Trial division by the primes below TRIAL_LIMIT settles every n
+below TRIAL_LIMIT**2 and strips the small factors of any other n. What
+is left is tested with deterministic Miller-Rabin over the thirteen
+prime bases 2..41, which is exact below MILLER_RABIN_LIMIT (about
+3.3 * 10**24), and split with Pollard-Brent rho under a budget of
+RHO_BUDGET steps per factorization. A cofactor at or above
+MILLER_RABIN_LIMIT, or a split that overruns the budget, raises
+CapacityError: no verdict here is ever probabilistic, and no input runs
+for longer than the budget allows.
 """
 
 from __future__ import annotations
@@ -64,28 +66,6 @@ def check_modulus(n: int) -> None:
     """Reject anything below the smallest supported modulus."""
     if n < 2:
         raise ValueError(f"modulus must be at least 2, got {n}")
-
-
-def _trial_division(n: int) -> tuple[dict[int, int], int]:
-    """Divide the primes below TRIAL_LIMIT out of n >= 1.
-
-    Stops once p * p exceeds what is left. Returns the prime powers
-    found, ascending, and the cofactor, which is 1, a prime below
-    TRIAL_LIMIT**2, or a number of at least TRIAL_LIMIT**2 with no prime
-    factor below TRIAL_LIMIT.
-    """
-    factors: dict[int, int] = {}
-    rest = n
-    for p in _SMALL_PRIMES:
-        if p * p > rest:
-            break
-        if rest % p == 0:
-            e = 0
-            while rest % p == 0:
-                rest //= p
-                e += 1
-            factors[p] = e
-    return factors, rest
 
 
 def _is_cofactor_prime(m: int) -> bool:
@@ -168,10 +148,21 @@ def factorize(n: int) -> Mapping[int, int]:
     rho on the cofactor (see the module docstring). Exact for every n
     whose cofactor after trial division is below MILLER_RABIN_LIMIT and
     splits within RHO_BUDGET steps; any other n raises CapacityError.
+    n < 1 raises ValueError, for every function built on this one.
     """
     if n < 1:
-        raise ValueError(f"cannot factorize {n}")
-    factors, rest = _trial_division(n)
+        raise ValueError(f"factorize needs n >= 1, got {n}")
+    factors: dict[int, int] = {}
+    rest = n
+    for p in _SMALL_PRIMES:
+        if p * p > rest:
+            break
+        if rest % p == 0:
+            e = 0
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            factors[p] = e
     large: list[int] = []
     pending = [rest] if rest > 1 else []
     budget = RHO_BUDGET
@@ -190,8 +181,6 @@ def factorize(n: int) -> Mapping[int, int]:
 
 def euler_phi(n: int) -> int:
     """Count of residues in [1, n] coprime to n."""
-    if n < 1:
-        raise ValueError(f"euler_phi needs n >= 1, got {n}")
     result = n
     for p in factorize(n):
         result = result // p * (p - 1)
@@ -200,12 +189,7 @@ def euler_phi(n: int) -> int:
 
 def divisors(n: int) -> list[int]:
     """All positive divisors of n, ascending."""
-    if n < 1:
-        raise ValueError(f"divisors needs n >= 1, got {n}")
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
+    return [d for d, _ in divisor_phis(n)]
 
 
 def divisor_phis(n: int) -> list[tuple[int, int]]:
@@ -215,8 +199,6 @@ def divisor_phis(n: int) -> list[tuple[int, int]]:
     phi(p**k) = p**(k-1) * (p - 1), so each prime power extends the
     table without factoring any divisor.
     """
-    if n < 1:
-        raise ValueError(f"divisor_phis needs n >= 1, got {n}")
     table = [(1, 1)]
     for p, e in factorize(n).items():
         extended = list(table)
@@ -232,8 +214,6 @@ def divisor_phis(n: int) -> list[tuple[int, int]]:
 
 def divisor_count(n: int) -> int:
     """Number of divisors of n, the product of (e + 1) over n's exponents."""
-    if n < 1:
-        raise ValueError(f"divisor_count needs n >= 1, got {n}")
     count = 1
     for e in factorize(n).values():
         count *= e + 1
@@ -241,15 +221,13 @@ def divisor_count(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Exact primality by the same path as factorize, uncached.
+    """Exact primality, read off the cached factorization of n.
 
-    Raises CapacityError when n has no prime factor below TRIAL_LIMIT
-    and is at or above MILLER_RABIN_LIMIT.
+    Raises CapacityError wherever factorize does, so a composite n whose
+    cofactor rho cannot split within RHO_BUDGET steps is refused, not
+    reported as composite.
     """
-    if n < 2:
-        return False
-    small, rest = _trial_division(n)
-    return not small and _is_cofactor_prime(rest)
+    return n > 1 and factorize(n).get(n) == 1
 
 
 def order_kind(d: int, n: int) -> str:

@@ -12,6 +12,7 @@ references check. Keep these slow and obvious.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
 from math import gcd, inf
@@ -63,6 +64,12 @@ def naive_order(a: int, n: int) -> int:
     while (k * a) % n != 0:
         k += 1
     return k
+
+
+@functools.cache
+def naive_orders(n: int) -> tuple[int, ...]:
+    """naive_order of every residue of Z_n, built once per n for the whole test run."""
+    return tuple(naive_order(a, n) for a in range(n))
 
 
 def classify_residue(a: int, n: int) -> str:

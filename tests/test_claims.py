@@ -46,6 +46,9 @@ def test_degree_claim_kinds():
     assert 7 not in claims.degree_claim(NEITHER, 10)
     with pytest.raises(ValueError):
         claims.degree_claim(INVOLUTION, 1)
+    for bad in ("bogus", ""):
+        with pytest.raises(ValueError):
+            claims.degree_claim(bad, 10)
 
 
 def test_degree_claim_first_deviation():

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from indegraph import cli
+from indegraph import cli, zn
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +53,30 @@ def test_info_json_is_json_dumps_indented(capsys):
     code, out, _ = run(capsys, "info", "897612484786617600", "--json")
     assert code == 0
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("n, tests", [
+    pytest.param(999_999_999_989, 1, id="prime"),
+    pytest.param(2**61 - 1, 1, id="mersenne-61"),
+    pytest.param(100_003 * 100_019, 3, id="semiprime"),
+])
+@pytest.mark.parametrize("command", [("info", "--json"), ("audit",)], ids=["info", "audit"])
+def test_one_primality_test_per_cofactor(capsys, monkeypatch, empty_factorize_cache,
+                                         n, tests, command):
+    # factorize tests each cofactor once; is_prime and everything else
+    # reads its cached result. A semiprime takes three tests: itself and
+    # its two prime factors.
+    tested = []
+    original = zn._is_cofactor_prime
+
+    def counted(m):
+        tested.append(m)
+        return original(m)
+
+    monkeypatch.setattr(zn, "_is_cofactor_prime", counted)
+    code, _, _ = run(capsys, command[0], str(n), *command[1:])
+    assert code == 0
+    assert len(tested) == tests, tested
 
 
 def test_info_json_verify_notes_capacity(capsys):

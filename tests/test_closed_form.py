@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from indegraph import closed_form, oracle, zn
 from indegraph.invariants import INFINITE, length_str
 
-from conftest import SMOOTH_MODULI, naive_order, per_divisor_invariants
+from conftest import SMOOTH_MODULI, naive_orders, per_divisor_invariants
 
 moduli = st.integers(min_value=2, max_value=300)
 
@@ -32,7 +32,7 @@ def test_edge_count_matches_oracle(n):
 def test_degree_matches_oracle(n):
     # Each vertex is adjacent to everything outside its own order class.
     sizes = dict(closed_form.invariants(n).order_classes)
-    expected = tuple(n - sizes[naive_order(a, n)] for a in range(n))
+    expected = tuple(n - sizes[d] for d in naive_orders(n))
     assert oracle.build(n).degrees() == expected
 
 

@@ -8,6 +8,7 @@ from conftest import (
     classify_residue,
     naive_factorize,
     naive_order,
+    naive_orders,
     naive_phi,
     naive_primes_below,
 )
@@ -54,7 +55,10 @@ def test_factorize_reconstructs(n):
 
 def test_is_prime_matches_sieve_below_100000():
     primes = set(naive_primes_below(100_000))
-    assert [n for n in range(100_000) if zn.is_prime(n)] == sorted(primes)
+    try:
+        assert [n for n in range(100_000) if zn.is_prime(n)] == sorted(primes)
+    finally:
+        zn.factorize.cache_clear()
 
 
 def test_factorize_matches_trial_division_to_200000():
@@ -99,6 +103,8 @@ def test_factorize_products_of_known_primes(case):
     pytest.param(3825123056546413051, {149491: 1, 747451: 1, 34233211: 1},
                  id="spsp-bases-to-23"),
     pytest.param((2**31 - 1) ** 2, {2**31 - 1: 2}, id="mersenne-31-squared"),
+    pytest.param((10**9 + 7) * (10**9 + 9), {10**9 + 7: 1, 10**9 + 9: 1},
+                 id="two-primes-near-1e9"),
     pytest.param(2**61 - 1, {2**61 - 1: 1}, id="mersenne-61"),
     pytest.param(PSI_12[0], {PSI_12[1]: 1, PSI_12[2]: 1}, id="spsp-bases-to-37"),
     pytest.param(2**100 * 3, {2: 100, 3: 1}, id="smooth-above-the-limit"),
@@ -174,10 +180,7 @@ def test_divisors_known():
 
 @given(moduli)
 def test_divisors_divide_and_sorted(n):
-    divs = zn.divisors(n)
-    assert divs == sorted(divs)
-    assert all(n % d == 0 for d in divs)
-    assert divs[0] == 1 and divs[-1] == n
+    assert zn.divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
 
 
 @given(st.integers(min_value=-5, max_value=2000))
@@ -218,8 +221,8 @@ def test_classify_residue_cases():
 
 def test_order_kind_matches_residue_kind_to_512():
     for n in range(2, 513):
-        for a in range(n):
-            assert zn.order_kind(naive_order(a, n), n) == classify_residue(a, n), (a, n)
+        for a, d in enumerate(naive_orders(n)):
+            assert zn.order_kind(d, n) == classify_residue(a, n), (a, n)
 
 
 def _kinds(n):
@@ -255,8 +258,8 @@ def test_special_sets_cover(n):
 @given(moduli)
 def test_order_decomposition_classes(n):
     classes = {}
-    for a in range(n):
-        classes.setdefault(naive_order(a, n), []).append(a)
+    for a, d in enumerate(naive_orders(n)):
+        classes.setdefault(d, []).append(a)
     assert sorted(classes) == zn.divisors(n)
     for d, members in classes.items():
         assert len(members) == zn.euler_phi(d)
@@ -285,10 +288,11 @@ def test_divisor_phis_edges():
     assert zn.divisor_phis(1) == [(1, 1)]
     assert zn.divisor_count(1) == 1
     for bad in (0, -6):
-        with pytest.raises(ValueError):
-            zn.divisor_phis(bad)
-        with pytest.raises(ValueError):
-            zn.divisor_count(bad)
+        for fn in (zn.divisor_phis, zn.divisor_count, zn.euler_phi, zn.divisors):
+            with pytest.raises(ValueError):
+                fn(bad)
+    for not_prime in (-6, 0, 1):
+        assert zn.is_prime(not_prime) is False
     zn.factorize.cache_clear()
     with pytest.raises(zn.CapacityError):
         zn.divisor_phis(MERSENNE_89)
