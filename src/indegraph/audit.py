@@ -19,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
+from operator import itemgetter
 
 from indegraph import claims, closed_form, oracle, zn
 from indegraph.invariants import (
@@ -233,17 +234,30 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
     deviating = 0
     items = truth.degree_items
     if items is None:
-        # One class per order d, represented by (n // d) % n; the claim
-        # depends only on the kind, so it is evaluated once per kind.
-        by_kind: dict[str, tuple[int, ...]] = {}
-        for order, size in truth.order_classes:
-            kind = zn.order_kind(order, n)
-            claim = by_kind.get(kind)
-            if claim is None:
-                claim = by_kind[kind] = claims.degree_claim(kind, n)
-            if n - size not in claim:
-                deviating += size
+        # One class per order d, represented by (n // d) % n. The classes
+        # ascend by order, so their kinds form three runs, any of them
+        # empty: INVOLUTION (the first class and maybe the second),
+        # NEITHER, UNIT (maybe the last class). The claim depends only
+        # on the kind, so it is evaluated once per non-empty run.
+        classes = truth.order_classes
+        neither_from = 1 + (zn.order_kind(classes[1][0], n) == zn.INVOLUTION)
+        unit_from = len(classes) - (zn.order_kind(classes[-1][0], n) == zn.UNIT)
+        runs = (
+            (zn.INVOLUTION, classes[:neither_from]),
+            (zn.NEITHER, classes[neither_from:unit_from]),
+            (zn.UNIT, classes[unit_from:]),
+        )
+        for kind, run in runs:
+            if not run:
+                continue
+            claim = claims.degree_claim(kind, n)
+            # A class of size s has degree n - s.
+            claimed_sizes = {n - degree for degree in claim}
+            bad = [cls for cls in run if cls[1] not in claimed_sizes]
+            if bad:
+                deviating += sum(map(itemgetter(1), bad))
                 if first_bad is None:
+                    order, size = bad[0]
                     first_bad = ((n // order) % n, order, n - size, claim)
     else:
         # The oracle tier evaluates the claim once per vertex; the

@@ -74,7 +74,7 @@ def _show(value: object) -> str:
 
 def _json_value(value: object) -> object:
     if isinstance(value, tuple):
-        return [list(item) for item in value]
+        return list(map(list, value))
     if isinstance(value, float):
         return length_str(value)
     return value

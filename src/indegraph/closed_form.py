@@ -41,9 +41,10 @@ def invariants(n: int) -> InvariantSet:
     parts = divisor_phis(n)
     prime = is_prime(n)
     # A vertex is adjacent to everything outside its own class, so the s
-    # vertices of each class of size s have degree n - s.
-    sizes = Counter(map(itemgetter(1), parts))
-    degrees = {n - size: size * count for size, count in sizes.items()}
+    # vertices of each class of size s have degree n - s: ascending sizes
+    # give the profile in descending degree order.
+    sizes = sorted(Counter(map(itemgetter(1), parts)).items(), key=itemgetter(0))
+    degree_counts = tuple([(n - size, size * count) for size, count in sizes])
     involutions = 2 if n % 2 == 0 else 1
     units = parts[-1][1]  # the class of order n
     return InvariantSet(
@@ -52,14 +53,14 @@ def invariants(n: int) -> InvariantSet:
         involutions=involutions,
         neither=0 if n == 2 else n - units - involutions,
         # Every pair of residues except those within one class.
-        edge_count=(n * n - sum(size * size * count for size, count in sizes.items())) // 2,
-        degree_counts=tuple(sorted(degrees.items(), reverse=True)),
+        edge_count=(n * n - sum([size * size * count for size, count in sizes])) // 2,
+        degree_counts=degree_counts,
         order_classes=tuple(parts),
         degree_items=None,
         connected=True,
         # Only n = 2 has every class of size one.
         complete=n == 2,
-        star=is_star_profile(n, degrees),
+        star=is_star_profile(n, degree_counts),
         # A prime n has two classes, {0} and the units, so the graph is
         # a star; a composite n has three, hence a triangle.
         girth=INFINITE if prime else 3,

@@ -4,9 +4,11 @@ report share."""
 
 from __future__ import annotations
 
+import json
 import math
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 # Girth of an acyclic graph, diameter of a disconnected one.
@@ -31,8 +33,8 @@ def profile_str(degree_counts: tuple[tuple[int, int], ...]) -> str:
     return " ".join(f"{deg}x{cnt}" for deg, cnt in degree_counts)
 
 
-def is_star_profile(n: int, counts: Mapping[int, int]) -> bool:
-    """Whether {degree: count} is the degree profile of the star on n vertices."""
+def is_star_profile(n: int, counts: Mapping[int, int] | Iterable[tuple[int, int]]) -> bool:
+    """Whether a degree profile, {degree: count} or its pairs, is the star's on n vertices."""
     star = {1: 2} if n == 2 else {n - 1: 1, 1: n - 1}
     return dict(counts) == star
 
@@ -42,9 +44,12 @@ def json_text(value: object) -> str:
 
     With `indent` set, CPython leaves its C encoder for a Python
     generator that yields one chunk per token; here each container joins
-    the text of its members instead. Takes str, int, bool and None, and
-    lists and str-keyed dicts of them; anything else (floats, other
-    keys, other objects) raises TypeError.
+    the text of its members instead. A list of non-empty lists of plain
+    ints (the degree pairs and order classes of `info --json`) goes
+    through the C encoder in compact form and is re-indented by string
+    replacement; every other shape is written member by member. Takes
+    str, int, bool and None, and lists and str-keyed dicts of them;
+    anything else (floats, other keys, other objects) raises TypeError.
     """
     return _json_text(value, "\n")
 
@@ -65,6 +70,8 @@ def _json_text(value: object, indent: str) -> str:
     if isinstance(value, list):
         if not value:
             return "[]"
+        if _is_int_table(value):
+            return _int_table_text(value, indent)
         items = [_json_text(item, inner) for item in value]
         return "[" + inner + ("," + inner).join(items) + indent + "]"
     if isinstance(value, dict):
@@ -75,6 +82,32 @@ def _json_text(value: object, indent: str) -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     raise TypeError(f"json_text cannot write {type(value).__name__}")
+
+
+def _is_int_table(value: list) -> bool:
+    """Whether every member of `value` is a non-empty list of plain ints."""
+    return (
+        set(map(type, value)) == {list}
+        and all(value)
+        and set(map(type, chain.from_iterable(value))) == {int}
+    )
+
+
+def _int_table_text(value: list[list[int]], indent: str) -> str:
+    """`_json_text` of an int table: the C encoder's compact text, re-indented.
+
+    The compact text holds digits, minus signs, brackets and commas only,
+    so "],[" separates two rows and every other comma two ints of a row.
+    """
+    inner = indent + "  "
+    cell = inner + "  "
+    body = (
+        json.dumps(value, separators=(",", ":"))[2:-2]
+        .replace("],[", ";")
+        .replace(",", "," + cell)
+        .replace(";", inner + "]," + inner + "[" + cell)
+    )
+    return "[" + inner + "[" + cell + body + inner + "]" + indent + "]"
 
 
 def _json_key(key: object) -> str:

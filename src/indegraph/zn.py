@@ -197,7 +197,10 @@ def divisor_phis(n: int) -> list[tuple[int, int]]:
 
     Built from the one factorization of n: phi is multiplicative and
     phi(p**k) = p**(k-1) * (p - 1), so each prime power extends the
-    table without factoring any divisor.
+    table without factoring any divisor. The table is key-sorted by d
+    after each prime's extension, which appends e copies of the sorted
+    table scaled by p, p**2, ..., p**e: e + 1 ascending runs, which the
+    sort merges in about linear time.
     """
     table = [(1, 1)]
     for p, e in factorize(n).items():
@@ -207,8 +210,8 @@ def divisor_phis(n: int) -> list[tuple[int, int]]:
             extended += [(d * pk, phi * phik) for d, phi in table]
             pk *= p
             phik *= p
+        extended.sort(key=itemgetter(0))
         table = extended
-    table.sort(key=itemgetter(0))
     return table
 
 

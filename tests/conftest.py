@@ -7,7 +7,9 @@ the oracle's full-graph searches that the false-twin quotient replaced,
 so the quotient is checked against both. The closed-form section
 keeps the per-divisor formulas that the (d, phi(d)) table replaced:
 they call zn.euler_phi and zn.divisors, which the first-principles
-references check. Keep these slow and obvious.
+references check. It also keeps the table's one-sort builder, which
+the prime-by-prime sort of zn.divisor_phis must match. Keep these
+slow and obvious.
 """
 
 from __future__ import annotations
@@ -377,6 +379,21 @@ def naive_hamiltonian(n: int) -> bool:
 # Smooth n with 240, 3,168 and 103,680 divisors: the (d, phi(d)) tables
 # the closed forms are built from are largest here.
 SMOOTH_MODULI = (720720, 2**10 * 3**5 * 5**3 * 7**2 * 11 * 13, 897612484786617600)
+
+
+def one_sort_divisor_phis(n: int) -> list[tuple[int, int]]:
+    """The (d, phi(d)) table extended prime by prime, then key-sorted once."""
+    table = [(1, 1)]
+    for p, e in zn.factorize(n).items():
+        extended = list(table)
+        pk, phik = p, p - 1
+        for _ in range(e):
+            extended += [(d * pk, phi * phik) for d, phi in table]
+            pk *= p
+            phik *= p
+        table = extended
+    table.sort(key=lambda entry: entry[0])
+    return table
 
 
 @pytest.fixture

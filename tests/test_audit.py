@@ -247,24 +247,35 @@ def test_tier_statuses_agree_on_every_n_up_to_2048():
 # Above the build limit: a prime, where no residue is of the "neither"
 # kind, and 2p and pq, where some are.
 UNSMOOTH_BEYOND_BUILD_LIMIT = (10**9 + 7, 2 * (10**9 + 7), 100003 * 100019)
+LIMITS_OF_2 = AuditConfig(oracle_build_limit=2, exact_search_limit=2, hamiltonian_limit=2)
+# Small n, where the "neither" run of order classes (n = 2, 3), the unit
+# run (n = 2), or neither run is empty.
+SMALL_UNDER_LIMITS_OF_2 = (2, 3, 4, 6, 8, 9, 12)
 
 
-@pytest.mark.parametrize("n", SMOOTH_MODULI + UNSMOOTH_BEYOND_BUILD_LIMIT)
+@pytest.mark.parametrize(
+    "n, config",
+    [pytest.param(n, None, id=str(n)) for n in SMOOTH_MODULI + UNSMOOTH_BEYOND_BUILD_LIMIT]
+    + [pytest.param(n, LIMITS_OF_2, id=f"limits-2-{n}") for n in SMALL_UNDER_LIMITS_OF_2],
+)
 @pytest.mark.usefixtures("empty_factorize_cache")
-def test_closed_form_audit_matches_per_divisor_reference(n, monkeypatch):
-    verdicts = audit_n(n)
+def test_closed_form_audit_matches_per_divisor_reference(n, config, monkeypatch):
+    if n == 2:
+        # Limits of 2 still leave n = 2 to the oracle; make the closed
+        # forms its ground truth.
+        monkeypatch.setattr(audit, "ground_truth", lambda m, cfg: closed_form.invariants(m))
+    verdicts = audit_n(n, config)
     assert {v.ground_truth for v in verdicts} == {"CLOSED_FORM"}
 
-    def reference(m, config):
+    def reference(m, cfg):
         # Per-item degrees make _degrees evaluate one claim per order
-        # class, the reference for the closed-form tier's per-kind memo.
-        assert m > config.oracle_build_limit
+        # class, the reference for the closed-form tier's kind runs.
         truth = per_divisor_invariants(m)
         items = tuple(((m // d) % m, d, m - size, size) for d, size in truth.order_classes)
         return replace(truth, degree_items=items)
 
     monkeypatch.setattr(audit, "ground_truth", reference)
-    assert verdicts == audit_n(n)
+    assert verdicts == audit_n(n, config)
 
 
 @pytest.mark.parametrize(

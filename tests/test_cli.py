@@ -5,6 +5,8 @@ import pytest
 
 from indegraph import cli, zn
 
+from conftest import SMOOTH_MODULI
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -50,9 +52,10 @@ def test_info_json(capsys):
 
 
 def test_info_json_is_json_dumps_indented(capsys):
-    code, out, _ = run(capsys, "info", "897612484786617600", "--json")
-    assert code == 0
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    for n in SMOOTH_MODULI:
+        code, out, _ = run(capsys, "info", str(n), "--json")
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", n
 
 
 @pytest.mark.parametrize("n, tests", [

@@ -33,6 +33,40 @@ def test_matches_json_dumps(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
 
+# Lists of lists of plain ints, the shape json_text hands to the C
+# encoder, empty outer and inner lists included.
+int_tables = st.lists(st.lists(st.integers(min_value=-(2**70), max_value=2**70)))
+odd_members = st.booleans() | st.sampled_from(list(Level)) | st.text(max_size=4) | st.none()
+
+
+@given(int_tables)
+def test_matches_json_dumps_on_int_tables(table):
+    for value in (table, {"pairs": table, "n": 1}, [[table]]):
+        assert json_text(value) == json.dumps(value, indent=2)
+
+
+def _insert(table, member, at, inside):
+    """Put `member` into one row of `table`, or between its rows."""
+    if inside and table:
+        row = table[at % len(table)]
+        row.insert(at % (len(row) + 1), member)
+    else:
+        table.insert(at % (len(table) + 1), member)
+    return table
+
+
+@given(int_tables, odd_members, st.integers(min_value=0), st.booleans())
+def test_int_tables_with_one_odd_member_match_json_dumps(table, odd, at, inside):
+    value = _insert(table, odd, at, inside)
+    assert json_text(value) == json.dumps(value, indent=2)
+
+
+@given(int_tables, st.integers(min_value=0), st.booleans())
+def test_int_tables_with_a_float_are_rejected(table, at, inside):
+    with pytest.raises(TypeError):
+        json_text(_insert(table, 0.5, at, inside))
+
+
 @pytest.mark.parametrize(
     "value",
     [
@@ -57,6 +91,11 @@ def test_matches_json_dumps(value):
         # int subclasses are written as their int value, as json.dumps has them.
         Level.LOW,
         [1, Level.HIGH, 3],
+        # Int tables, with empty inner lists on either side.
+        [[1], []],
+        [[]],
+        [[], [1]],
+        [[-1, 10**30]],
     ],
 )
 def test_matches_json_dumps_on_edge_cases(value):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,12 +7,14 @@ import indegraph
 from indegraph import oracle, zn
 
 from conftest import (
+    SMOOTH_MODULI,
     classify_residue,
     naive_factorize,
     naive_order,
     naive_orders,
     naive_phi,
     naive_primes_below,
+    one_sort_divisor_phis,
 )
 
 moduli = st.integers(min_value=2, max_value=400)
@@ -282,6 +286,46 @@ def test_divisor_phis_on_products_of_known_primes(case):
         assert zn.divisor_count(n) == len(divs)
     finally:
         zn.factorize.cache_clear()
+
+
+def _seeded_smooth_moduli(count: int, seed: int) -> list[int]:
+    """Products of primes below 60 with 10**3 to 10**4 divisors, at most 10**18."""
+    rng = random.Random(seed)
+    primes = naive_primes_below(60)
+    found: list[int] = []
+    while len(found) < count:
+        n, tau = 1, 1
+        for p in rng.sample(primes, rng.randint(4, 9)):
+            e = rng.randint(1, 4)
+            n, tau = n * p**e, tau * (e + 1)
+        if 10**3 <= tau <= 10**4 and n <= 10**18 and n not in found:
+            found.append(n)
+    return found
+
+
+@pytest.mark.parametrize(
+    "n",
+    SMOOTH_MODULI
+    + (2**61 - 1, (10**9 + 7) * (10**9 + 9))
+    + tuple(_seeded_smooth_moduli(10, seed=14)),
+)
+def test_divisor_phis_match_one_sort_of_the_whole_table(n):
+    table = zn.divisor_phis(n)
+    assert table == one_sort_divisor_phis(n)
+    assert all(a < b for (a, _), (b, _) in zip(table, table[1:]))
+
+
+def test_order_kinds_of_the_divisor_table_form_three_runs():
+    # audit._degrees relies on this: ascending orders put the kinds in
+    # one or two involutions, then the "neither" orders, then at most
+    # one unit.
+    for n in [*range(2, 2049), *SMOOTH_MODULI]:
+        kinds = [zn.order_kind(d, n) for d, _ in zn.divisor_phis(n)]
+        involutions, units = kinds.count(zn.INVOLUTION), kinds.count(zn.UNIT)
+        neither = len(kinds) - involutions - units
+        assert 1 <= involutions <= 2 and units <= 1, n
+        runs = [zn.INVOLUTION] * involutions + [zn.NEITHER] * neither + [zn.UNIT] * units
+        assert kinds == runs, n
 
 
 def test_divisor_phis_edges():
