@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -33,10 +33,14 @@ def profile_str(degree_counts: tuple[tuple[int, int], ...]) -> str:
     return " ".join(f"{deg}x{cnt}" for deg, cnt in degree_counts)
 
 
-def is_star_profile(n: int, counts: Mapping[int, int] | Iterable[tuple[int, int]]) -> bool:
-    """Whether a degree profile, {degree: count} or its pairs, is the star's on n vertices."""
+def is_star_profile(n: int, counts: Mapping[int, int] | Sequence[tuple[int, int]]) -> bool:
+    """Whether a degree profile, {degree: count} or its pairs, is the star's on n vertices.
+
+    The star's profile has at most two entries, so a longer one is
+    settled by its length before any dict is built.
+    """
     star = {1: 2} if n == 2 else {n - 1: 1, 1: n - 1}
-    return dict(counts) == star
+    return len(counts) == len(star) and dict(counts) == star
 
 
 def json_text(value: object) -> str:

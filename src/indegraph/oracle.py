@@ -26,9 +26,12 @@ The quotient is built from the rows alone. Here it has one class per
 divisor of n: 2 at a prime, 30 at n = 20000.
 
 `invariants` reads only the graph it is given: the rows, and the orders
-`build` computed once per residue. The involution and "neither" counts
-and the multipartite check come from those orders; nothing is asked of
-the number theory beyond the modulus check.
+`build` computed once per residue. The order-class masks are made from
+those orders once per graph (by `build`, which makes the rows from
+them, or on first use for a graph built by hand). The order classes,
+the involution and "neither" counts and the multipartite check come
+from them; nothing is asked of the number theory beyond the modulus
+check.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, inf
+from itertools import repeat
+from math import inf, isqrt
+from operator import eq, mul
 from typing import Iterator
 
 from indegraph.invariants import INFINITE, ORACLE, InvariantSet, is_star_profile
@@ -74,10 +79,12 @@ class IndependentGraph:
         return _iter_bits(self.rows[a])
 
     def degrees(self) -> tuple[int, ...]:
-        return self._quotient[2]
+        return self._quotient[3]
 
     def edge_count(self) -> int:
-        return sum(self.degrees()) // 2
+        """Half the degree sum, taken once per twin class."""
+        _, sizes, class_degrees, _ = self._quotient
+        return sum(map(mul, sizes, class_degrees)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Unordered edges as (a, b) with a < b, lexicographic."""
@@ -93,8 +100,16 @@ class IndependentGraph:
     # -- false-twin quotient ---------------------------------------------
 
     @cached_property
-    def _quotient(self) -> tuple[IndependentGraph, tuple[int, ...], tuple[int, ...]]:
-        """G/≡ (one vertex per class of equal rows), the class sizes, the degrees of G.
+    def _class_masks(self) -> dict[int, int]:
+        """One bitmask per order in `orders`; `build` fills it as it makes the rows."""
+        return _masks_of(self.orders)
+
+    @cached_property
+    def _quotient(
+        self,
+    ) -> tuple[IndependentGraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """G/≡ (one vertex per class of equal rows), the class sizes and
+        degrees, and the degrees of G.
 
         Classes are numbered by their first member, and class i is
         adjacent to class j exactly when the first member of i is
@@ -103,32 +118,31 @@ class IndependentGraph:
         every class is an independent set, the quotient is an induced
         subgraph of G, and no two of its rows are equal. Twins share
         their degree, so only the first member's row is counted.
+
+        The rows are grouped by value in one C-level pass, one hash per
+        row: `index.setdefault` maps each row to the first vertex that
+        has it.
         """
+        rows = self.rows
         index: dict[int, int] = {}
-        firsts: list[int] = []
-        sizes: list[int] = []
-        classes: list[int] = []
-        for v, row in enumerate(self.rows):
-            k = index.setdefault(row, len(firsts))
-            if k == len(firsts):
-                firsts.append(v)
-                sizes.append(1)
-            else:
-                sizes[k] += 1
-            classes.append(k)
+        first = list(map(index.setdefault, rows, range(self.n)))
+        firsts = list(index.values())
+        # Counter keeps first-seen order, which is the order of `firsts`.
+        sizes = tuple(Counter(first).values())
         bits = [1 << v for v in firsts]
-        rows = tuple(
-            sum(1 << j for j, bit in enumerate(bits) if self.rows[v] & bit)
-            for v in firsts
+        quotient_rows = tuple(
+            sum(1 << j for j, bit in enumerate(bits) if rows[v] & bit) for v in firsts
         )
-        class_degrees = [self.rows[v].bit_count() for v in firsts]
-        degrees = tuple([class_degrees[k] for k in classes])
-        return IndependentGraph(len(rows), rows, ()), tuple(sizes), degrees
+        class_degrees = tuple([rows[v].bit_count() for v in firsts])
+        degree_of = dict(zip(firsts, class_degrees))
+        degrees = tuple(map(degree_of.__getitem__, first))
+        quotient = IndependentGraph(len(firsts), quotient_rows, ())
+        return quotient, sizes, class_degrees, degrees
 
     @cached_property
     def _component_count(self) -> int:
         """Components of the quotient, plus one per extra isolated twin."""
-        quotient, sizes, _ = self._quotient
+        quotient, sizes = self._quotient[:2]
         isolated_twins = sum(
             size - 1 for row, size in zip(quotient.rows, sizes) if not row
         )
@@ -152,7 +166,7 @@ class IndependentGraph:
         """
         if self._component_count != 1:
             return INFINITE
-        quotient, sizes, _ = self._quotient
+        quotient, sizes = self._quotient[:2]
         best = _diameter(quotient.rows)
         return max(best, 2) if max(sizes) > 1 else best
 
@@ -290,20 +304,40 @@ def build(n: int, limit: int = DEFAULT_BUILD_LIMIT) -> IndependentGraph:
     The non-neighbors of a vertex are exactly the members of its own
     order class (itself included), so each adjacency row is the
     complement of one class mask, one row object shared by the class:
-    the rows take (number of divisors of n) * n bits. Moduli above
+    the rows take (number of divisors of n) * n bits. The masks are
+    computed once per built graph: the graph keeps them, and
+    `verify_complete_multipartite` reads them from there. Moduli above
     `limit` are refused, as this build and the quotient pass take time
     quadratic in n.
     """
     check_modulus(n)
     if n > limit:
         raise CapacityError(f"n={n} exceeds the graph build limit {limit}")
-    orders = tuple(n // gcd(a, n) for a in range(n))
+    orders = _orders(n)
+    masks = _masks_of(orders)
     full = (1 << n) - 1
-    row_of = {d: full ^ mask for d, mask in _class_masks(orders).items()}
-    return IndependentGraph(n, tuple(row_of[d] for d in orders), orders)
+    row_of = {d: full ^ mask for d, mask in masks.items()}
+    graph = IndependentGraph(n, tuple(map(row_of.__getitem__, orders)), orders)
+    # Fill the cached property: these are the masks of `graph.orders`.
+    vars(graph)["_class_masks"] = masks
+    return graph
 
 
-def _class_masks(orders: tuple[int, ...]) -> dict[int, int]:
+def _orders(n: int) -> tuple[int, ...]:
+    """The order n / gcd(a, n) of every residue a.
+
+    gcd(a, n) is the largest divisor g of n that divides a, so writing
+    n // g over the multiples of every divisor g, smallest g first,
+    leaves the order at each residue.
+    """
+    orders = [0] * n
+    small = [g for g in range(1, isqrt(n) + 1) if n % g == 0]
+    for g in small + [n // g for g in reversed(small) if g * g < n]:
+        orders[::g] = [n // g] * (n // g)
+    return tuple(orders)
+
+
+def _masks_of(orders: tuple[int, ...]) -> dict[int, int]:
     """One bitmask per order, holding the vertices of that order."""
     masks: dict[int, int] = {}
     for a, d in enumerate(orders):
@@ -315,11 +349,13 @@ def verify_complete_multipartite(graph: IndependentGraph) -> bool:
     """Check adjacency == "different order" for every vertex pair.
 
     Row equality against the complement of each order class's mask
-    covers all n*(n-1)/2 pairs at once.
+    covers all n*(n-1)/2 pairs at once. The masks are those of
+    `graph.orders`: computed once per built graph by `build`, and
+    derived here for any other graph.
     """
     full = (1 << graph.n) - 1
-    expected = {d: full ^ mask for d, mask in _class_masks(graph.orders).items()}
-    return all(row == expected[d] for row, d in zip(graph.rows, graph.orders))
+    expected = {d: full ^ mask for d, mask in graph._class_masks.items()}
+    return all(map(eq, graph.rows, map(expected.__getitem__, graph.orders)))
 
 
 # -- exact clique and coloring ------------------------------------------
@@ -527,10 +563,13 @@ def invariants(
     Hamiltonian cycle) is declined: its fields and its tier are None.
     """
     n = graph.n
-    degs = graph.degrees()
-    counts = Counter(degs)
+    _, sizes, class_degrees, degs = graph._quotient
+    # Twins share their degree, so the profile is counted once per class.
+    counts: Counter[int] = Counter()
+    for size, degree in zip(sizes, class_degrees):
+        counts[degree] += size
     edge_count = graph.edge_count()
-    order_classes = sorted(Counter(graph.orders).items())
+    order_classes = sorted((d, mask.bit_count()) for d, mask in graph._class_masks.items())
     # 2a = 0 exactly when o(a) divides 2; gcd(a, n) = 1 exactly when o(a) = n.
     involutions = sum(size for d, size in order_classes if d <= 2)
     neither = sum(size for d, size in order_classes if 2 < d < n)
@@ -554,7 +593,7 @@ def invariants(
         edge_count=edge_count,
         degree_counts=tuple(sorted(counts.items(), reverse=True)),
         order_classes=tuple(order_classes),
-        degree_items=tuple((a, graph.orders[a], degs[a], 1) for a in range(n)),
+        degree_items=tuple(zip(range(n), graph.orders, degs, repeat(1))),
         connected=graph.is_connected(),
         complete=edge_count == n * (n - 1) // 2,
         star=is_star_profile(n, counts),

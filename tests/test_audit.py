@@ -194,9 +194,11 @@ def test_ground_truth_tiers():
     assert large.status is Status.MISMATCH  # formula still audited
 
 
-# Highly composite, prime powers, 2p, pq, a prime, and the build limit.
+# Highly composite (15120 has 80 order classes, the most below the build
+# limit), prime powers, 2p, 2pq, pq, a prime, and the build limit.
 STRUCTURED_UP_TO_BUILD_LIMIT = (
-    5040, 10080, 2**14, 3**9, 139**2, 2 * 9973, 101 * 197, 19997, 20000,
+    5040, 10080, 15120, 2**14, 3**9, 139**2, 2 * 9973, 2 * 13 * 769, 101 * 197,
+    19997, 20000,
 )
 
 

@@ -1,4 +1,5 @@
-"""The indented JSON writer against `json.dumps(..., indent=2)`."""
+"""The indented JSON writer against `json.dumps(..., indent=2)`, and the
+star-profile test."""
 
 import enum
 import json
@@ -6,7 +7,7 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
-from indegraph.invariants import json_text
+from indegraph.invariants import is_star_profile, json_text
 
 
 class Level(enum.IntEnum):
@@ -121,3 +122,37 @@ def test_matches_json_dumps_on_edge_cases(value):
 def test_rejects_types_outside_the_payloads(value):
     with pytest.raises(TypeError):
         json_text(value)
+
+
+@pytest.mark.parametrize(
+    "n, counts, star",
+    [
+        (2, {1: 2}, True),
+        (2, ((1, 2),), True),
+        (5, {4: 1, 1: 4}, True),
+        (5, ((4, 1), (1, 4)), True),
+        (5, ((4, 1),), False),
+        (5, {4: 1, 1: 3, 2: 1}, False),
+        (6, ((5, 2), (4, 4)), False),
+        (6, ((5, 1), (1, 5), (0, 0)), False),
+    ],
+)
+def test_star_profile(n, counts, star):
+    assert is_star_profile(n, counts) is star
+
+
+class LongProfile:
+    """A sized sequence of pairs whose members must not be read."""
+
+    def __len__(self):
+        return 2210
+
+    def __getitem__(self, index):
+        raise AssertionError("a profile longer than the star's was read")
+
+    def __iter__(self):
+        raise AssertionError("a profile longer than the star's was read")
+
+
+def test_star_profile_settles_a_long_profile_by_its_length():
+    assert is_star_profile(530755139915304876, LongProfile()) is False

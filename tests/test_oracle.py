@@ -296,6 +296,61 @@ def test_verify_multipartite_detects_deviation():
     assert not oracle.verify_complete_multipartite(doctored)
 
 
+def test_verify_multipartite_reads_the_graphs_own_orders():
+    base = oracle.build(12)
+    # One order changed under the built rows: 1 now claims order 6, like 2.
+    orders = list(base.orders)
+    orders[1] = 6
+    assert not oracle.verify_complete_multipartite(
+        oracle.IndependentGraph(12, base.rows, tuple(orders))
+    )
+    # A hand-built copy in new tuples carries no masks from the build.
+    copy = oracle.IndependentGraph(12, tuple(list(base.rows)), tuple(list(base.orders)))
+    assert copy.rows is not base.rows and copy.orders is not base.orders
+    assert "_class_masks" not in vars(copy)
+    assert oracle.verify_complete_multipartite(copy)
+    # Masks of one modulus never reach the next.
+    for n, m in [(12, 30), (30, 12), (1680, 1693), (1693, 1680)]:
+        oracle.build(n)
+        assert oracle.verify_complete_multipartite(oracle.build(m)), (n, m)
+
+
+@pytest.mark.parametrize("n", [12, 60, 1680])
+def test_quotient_groups_rows_by_value_not_by_object(n):
+    shared = oracle.build(n)
+    # int(str(row)) is a new object for every row above the small-int cache.
+    apart = oracle.IndependentGraph(n, tuple(int(str(row)) for row in shared.rows), shared.orders)
+    twins = [
+        (a, b) for a in range(n) for b in range(a + 1, n) if shared.rows[a] == shared.rows[b]
+    ]
+    assert twins
+    for a, b in twins:
+        assert shared.rows[a] is shared.rows[b]
+        assert apart.rows[a] is not apart.rows[b]
+    quotient, *facts = apart._quotient
+    shared_quotient, *shared_facts = shared._quotient
+    assert quotient.rows == shared_quotient.rows
+    assert facts == shared_facts
+    assert quotient.n == shared.partite_count()
+
+
+def test_degree_items_list_every_vertex_in_order():
+    for n in range(2, 301):
+        graph = oracle.build(n)
+        items = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2).degree_items
+        expected = tuple(
+            (a, graph.orders[a], graph.rows[a].bit_count(), 1) for a in range(n)
+        )
+        assert items == expected, n
+
+
+def test_orders_match_the_gcd_definition_up_to_the_build_limit():
+    # test_complete_multipartite_structure checks every n up to 512.
+    for n in [1680, 15120, 19321, 19994, 19997, 20000]:
+        orders = oracle.build(n).orders
+        assert orders == tuple(n // math.gcd(a, n) for a in range(n)), n
+
+
 @pytest.mark.parametrize("n", range(2, 15))
 def test_clique_number_matches_subset_search(n):
     graph = oracle.build(n)
