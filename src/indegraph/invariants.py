@@ -141,7 +141,7 @@ class InvariantSet:
     witnesses clique_vertices and hamiltonian_cycle likewise come from
     the oracle's searches only; the cycle is None when no cycle exists.
     multipartite says whether adjacency is exactly "different order
-    class", which the oracle checks pair by pair and the closed forms
+    class", which the oracle checks from the rows and the closed forms
     take as given.
     """
 

@@ -26,12 +26,11 @@ The quotient is built from the rows alone. Here it has one class per
 divisor of n: 2 at a prime, 30 at n = 20000.
 
 `invariants` reads only the graph it is given: the rows, and the orders
-`build` computed once per residue. The order-class masks are made from
-those orders once per graph (by `build`, which makes the rows from
-them, or on first use for a graph built by hand). The order classes,
-the involution and "neither" counts and the multipartite check come
-from them; nothing is asked of the number theory beyond the modulus
-check.
+`build` computed once per residue. The order classes and the involution
+and "neither" counts are counted off the orders; the multipartite check
+reads the rows, the orders and the twin classes, and nothing of how
+`build` made them. Nothing is asked of the number theory beyond the
+modulus check.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import inf, isqrt
-from operator import eq, mul
+from operator import and_, mul, rshift
 from typing import Iterator
 
 from indegraph.invariants import INFINITE, ORACLE, InvariantSet, is_star_profile
@@ -61,7 +60,7 @@ def _iter_bits(mask: int) -> Iterator[int]:
 
 @dataclass(frozen=True)
 class IndependentGraph:
-    """I_G(Z_n) with one neighbor bitmask per vertex."""
+    """I_G(Z_n) with one neighbor bitmask and one order per vertex."""
 
     n: int
     rows: tuple[int, ...]
@@ -83,7 +82,7 @@ class IndependentGraph:
 
     def edge_count(self) -> int:
         """Half the degree sum, taken once per twin class."""
-        _, sizes, class_degrees, _ = self._quotient
+        _, sizes, class_degrees = self._quotient[:3]
         return sum(map(mul, sizes, class_degrees)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
@@ -100,16 +99,12 @@ class IndependentGraph:
     # -- false-twin quotient ---------------------------------------------
 
     @cached_property
-    def _class_masks(self) -> dict[int, int]:
-        """One bitmask per order in `orders`; `build` fills it as it makes the rows."""
-        return _masks_of(self.orders)
-
-    @cached_property
-    def _quotient(
-        self,
-    ) -> tuple[IndependentGraph, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    def _quotient(self) -> tuple[
+        IndependentGraph, tuple[int, ...], tuple[int, ...], tuple[int, ...], list[int], list[int]
+    ]:
         """G/≡ (one vertex per class of equal rows), the class sizes and
-        degrees, and the degrees of G.
+        degrees, the degrees of G, each vertex's class as its first
+        member, and the first members.
 
         Classes are numbered by their first member, and class i is
         adjacent to class j exactly when the first member of i is
@@ -137,7 +132,7 @@ class IndependentGraph:
         degree_of = dict(zip(firsts, class_degrees))
         degrees = tuple(map(degree_of.__getitem__, first))
         quotient = IndependentGraph(len(firsts), quotient_rows, ())
-        return quotient, sizes, class_degrees, degrees
+        return quotient, sizes, class_degrees, degrees, first, firsts
 
     @cached_property
     def _component_count(self) -> int:
@@ -301,61 +296,61 @@ def _diameter(rows: tuple[int, ...]) -> int | float:
 def build(n: int, limit: int = DEFAULT_BUILD_LIMIT) -> IndependentGraph:
     """Construct I_G(Z_n): edges between residues of different order.
 
-    The non-neighbors of a vertex are exactly the members of its own
-    order class (itself included), so each adjacency row is the
-    complement of one class mask, one row object shared by the class:
-    the rows take (number of divisors of n) * n bits. The masks are
-    computed once per built graph: the graph keeps them, and
-    `verify_complete_multipartite` reads them from there. Moduli above
-    `limit` are refused, as this build and the quotient pass take time
+    One walk over the divisors g of n: the residues a with gcd(a, n) = g
+    have order n / g. Writing n // g over the multiples of g, smallest g
+    first, leaves the order at each residue. Largest g first, the class
+    of gcd g is the multiples of g not yet seen, and its members share
+    one row: every residue seen before or not a multiple of g. The rows
+    take (number of divisors of n) * n bits, and each multiples mask is
+    a run of set bits doubled until it spans n bits. Moduli above
+    `limit` are refused, as the quotient pass and the searches take time
     quadratic in n.
     """
     check_modulus(n)
     if n > limit:
         raise CapacityError(f"n={n} exceeds the graph build limit {limit}")
-    orders = _orders(n)
-    masks = _masks_of(orders)
-    full = (1 << n) - 1
-    row_of = {d: full ^ mask for d, mask in masks.items()}
-    graph = IndependentGraph(n, tuple(map(row_of.__getitem__, orders)), orders)
-    # Fill the cached property: these are the masks of `graph.orders`.
-    vars(graph)["_class_masks"] = masks
-    return graph
-
-
-def _orders(n: int) -> tuple[int, ...]:
-    """The order n / gcd(a, n) of every residue a.
-
-    gcd(a, n) is the largest divisor g of n that divides a, so writing
-    n // g over the multiples of every divisor g, smallest g first,
-    leaves the order at each residue.
-    """
-    orders = [0] * n
     small = [g for g in range(1, isqrt(n) + 1) if n % g == 0]
-    for g in small + [n // g for g in reversed(small) if g * g < n]:
+    divisors = small + [n // g for g in reversed(small) if g * g < n]
+    orders = [0] * n
+    for g in divisors:
         orders[::g] = [n // g] * (n // g)
-    return tuple(orders)
-
-
-def _masks_of(orders: tuple[int, ...]) -> dict[int, int]:
-    """One bitmask per order, holding the vertices of that order."""
-    masks: dict[int, int] = {}
-    for a, d in enumerate(orders):
-        masks[d] = masks.get(d, 0) | (1 << a)
-    return masks
+    full = (1 << n) - 1
+    row_of: dict[int, int] = {}
+    seen = 0
+    for g in reversed(divisors):
+        # Bit a of this mask is set exactly when g divides a.
+        multiples, span = 1, g
+        while span < n:
+            multiples |= multiples << span
+            span *= 2
+        row_of[n // g] = full & (seen | ~multiples)
+        seen |= multiples
+    return IndependentGraph(n, tuple(map(row_of.__getitem__, orders)), tuple(orders))
 
 
 def verify_complete_multipartite(graph: IndependentGraph) -> bool:
     """Check adjacency == "different order" for every vertex pair.
 
-    Row equality against the complement of each order class's mask
-    covers all n*(n-1)/2 pairs at once. The masks are those of
-    `graph.orders`: computed once per built graph by `build`, and
-    derived here for any other graph.
+    Read from the rows, the orders and the twin classes of `_quotient`.
+    Let C be a twin class with first member f and N = full ^ rows[f].
+    When no row holds its own vertex, C lies in N; the classes cover the
+    n vertices once, so the sizes of the N add up to n exactly when each
+    N is its own class (a bit at or above n only adds to the count).
+    Then every row is the complement of its own twin class, and the twin
+    classes are the order classes exactly when every vertex has its
+    first member's order and the first members' orders are distinct.
+    That is "every row equals full ^ (its order class)", checked with n
+    shifts, t complements and two passes over the orders.
     """
-    full = (1 << graph.n) - 1
-    expected = {d: full ^ mask for d, mask in graph._class_masks.items()}
-    return all(map(eq, graph.rows, map(expected.__getitem__, graph.orders)))
+    n, rows, orders = graph.n, graph.rows, graph.orders
+    first, firsts = graph._quotient[4:]
+    full = (1 << n) - 1
+    return (
+        not any(map(and_, map(rshift, rows, range(n)), repeat(1)))
+        and sum((full ^ rows[f]).bit_count() for f in firsts) == n
+        and tuple(map(orders.__getitem__, first)) == tuple(orders)
+        and len(set(map(orders.__getitem__, firsts))) == len(firsts)
+    )
 
 
 # -- exact clique and coloring ------------------------------------------
@@ -563,13 +558,13 @@ def invariants(
     Hamiltonian cycle) is declined: its fields and its tier are None.
     """
     n = graph.n
-    _, sizes, class_degrees, degs = graph._quotient
+    _, sizes, class_degrees, degs = graph._quotient[:4]
     # Twins share their degree, so the profile is counted once per class.
     counts: Counter[int] = Counter()
     for size, degree in zip(sizes, class_degrees):
         counts[degree] += size
     edge_count = graph.edge_count()
-    order_classes = sorted((d, mask.bit_count()) for d, mask in graph._class_masks.items())
+    order_classes = sorted(Counter(graph.orders).items())
     # 2a = 0 exactly when o(a) divides 2; gcd(a, n) = 1 exactly when o(a) = n.
     involutions = sum(size for d, size in order_classes if d <= 2)
     neither = sum(size for d, size in order_classes if 2 < d < n)

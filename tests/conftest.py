@@ -4,7 +4,9 @@ Everything down to the closed-form section shares no code with the
 package, so agreement is meaningful. Most of it recomputes from first
 principles (definition chasing, exhaustive search); one section keeps
 the oracle's full-graph searches that the false-twin quotient replaced,
-so the quotient is checked against both. The closed-form section
+so the quotient is checked against both. Another keeps the oracle's
+per-vertex row build that the divisor walk replaced, fed by orders
+n // gcd(a, n) so it stays fast at the build limit. The closed-form section
 keeps the per-divisor formulas that the (d, phi(d)) table replaced:
 they call zn.euler_phi and zn.divisors, which the first-principles
 references check. It also keeps the table's one-sort builder, which
@@ -372,6 +374,19 @@ def naive_hamiltonian(n: int) -> bool:
         ):
             return True
     return False
+
+
+# -- the oracle's rows, before the divisor walk ------------------------------
+
+
+def per_vertex_rows(n: int) -> tuple[int, ...]:
+    """Rows of I_G(Z_n) from one mask per order, built vertex by vertex."""
+    orders = [n // gcd(a, n) for a in range(n)]
+    masks: dict[int, int] = {}
+    for a, d in enumerate(orders):
+        masks[d] = masks.get(d, 0) | (1 << a)
+    full = (1 << n) - 1
+    return tuple(full ^ masks[d] for d in orders)
 
 
 # -- closed forms, one euler_phi(d) per divisor d ----------------------------

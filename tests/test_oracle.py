@@ -1,5 +1,6 @@
 import ast
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -21,6 +22,7 @@ from conftest import (
     naive_girth_of_rows,
     naive_hamiltonian,
     naive_orders,
+    per_vertex_rows,
     unreduced_bipartite,
     unreduced_component_count,
     unreduced_diameter,
@@ -283,17 +285,98 @@ def test_complete_multipartite_structure():
         graph = oracle.build(n)
         # the check reads graph.orders; this keeps an independent reference
         assert graph.orders == naive_orders(n), n
+        assert graph.rows == per_vertex_rows(n), n
+        assert oracle.verify_complete_multipartite(graph), n
+    # the most classes (1680, 15120), a prime square, a prime, and the build limit
+    for n in [1680, 15120, 19321, 19997, 20000]:
+        graph = oracle.build(n)
+        assert graph.rows == per_vertex_rows(n), n
         assert oracle.verify_complete_multipartite(graph), n
 
 
-def test_verify_multipartite_detects_deviation():
-    base = oracle.build(6)
+def _doctored(n, change):
+    """build(n) with `change` applied to a list of its rows, orders kept."""
+    base = oracle.build(n)
     rows = list(base.rows)
-    # drop edge 0-1 from an otherwise correct graph
+    change(rows, (1 << n) - 1)
+    return oracle.IndependentGraph(n, tuple(rows), base.orders)
+
+
+def _set(rows, vertices, mask):
+    for a in vertices:
+        rows[a] = mask
+
+
+def _on_parts(part):
+    """Complete multipartite rows on the parts part(a, o(a)), built orders kept."""
+
+    def change(rows, full):
+        parts = [part(a, d) for a, d in enumerate(oracle.build(len(rows)).orders)]
+        masks = {}
+        for a, label in enumerate(parts):
+            masks[label] = masks.get(label, 0) | 1 << a
+        rows[:] = [full ^ masks[label] for label in parts]
+
+    return change
+
+
+def _swapped_second_members(rows, full):
+    # Order 3 is {4, 8} and order 4 is {3, 9}. Each pair keeps equal
+    # rows, so the twin classes, the first members' rows and
+    # the non-neighborhood total are unchanged; only 8 in rows[8] shows.
+    rows[4] = rows[8] = full ^ (1 << 4 | 1 << 9)
+    rows[3] = rows[9] = full ^ (1 << 3 | 1 << 8)
+
+
+def _without_edge_0_1(rows, full):
     rows[0] &= ~(1 << 1)
     rows[1] &= ~(1 << 0)
-    doctored = oracle.IndependentGraph(6, tuple(rows), base.orders)
-    assert not oracle.verify_complete_multipartite(doctored)
+
+
+# At n = 30 the order class of 5 is {6, 12, 18, 24}, of 15 the other
+# even non-multiples of 3, and 1 is a unit, of order 30. A change to one
+# row splits its twin class; a change to the whole class keeps it.
+@pytest.mark.parametrize(
+    "n, change",
+    [
+        (30, lambda rows, full: _set(rows, [6], int(str(rows[6] | 1 << 12)))),
+        (30, lambda rows, full: _set(rows, [6], int(str(rows[6] & ~(1 << 1))))),
+        (30, lambda rows, full: _set(rows, [6, 12, 18, 24], rows[6] & ~(1 << 1))),
+        (30, lambda rows, full: _set(rows, [6], rows[6] | 1 << 6)),
+        (30, lambda rows, full: _set(rows, [6], rows[6] | 1 << 30)),
+        (30, lambda rows, full: _set(rows, [6, 12, 18, 24], rows[6] | 1 << 30)),
+        (12, _swapped_second_members),
+        (30, _on_parts(lambda a, d: 5 if d == 15 else d)),
+        (30, _on_parts(lambda a, d: (d, d == 5 and a < 15))),
+        (6, _without_edge_0_1),
+    ],
+    ids=[
+        "same-class-bit-set",
+        "cross-class-bit-cleared",
+        "cross-class-bit-cleared-in-class",
+        "own-vertex",
+        "bit-above-n",
+        "bit-above-n-in-class",
+        "swapped-second-members",
+        "merged-order-classes",
+        "split-order-class",
+        "edge-removed",
+    ],
+)
+def test_verify_multipartite_detects_deviation(n, change):
+    assert not oracle.verify_complete_multipartite(_doctored(n, change))
+
+
+def test_verify_multipartite_holds_under_a_vertex_permutation():
+    base = oracle.build(30)
+    perm = list(range(30))
+    random.Random(30).shuffle(perm)
+    rows = tuple(
+        sum(1 << j for j in range(30) if base.rows[perm[i]] >> perm[j] & 1) for i in range(30)
+    )
+    orders = tuple(base.orders[perm[i]] for i in range(30))
+    assert orders != base.orders
+    assert oracle.verify_complete_multipartite(oracle.IndependentGraph(30, rows, orders))
 
 
 def test_verify_multipartite_reads_the_graphs_own_orders():
@@ -304,12 +387,11 @@ def test_verify_multipartite_reads_the_graphs_own_orders():
     assert not oracle.verify_complete_multipartite(
         oracle.IndependentGraph(12, base.rows, tuple(orders))
     )
-    # A hand-built copy in new tuples carries no masks from the build.
+    # A hand-built copy in new tuples verifies like the built graph.
     copy = oracle.IndependentGraph(12, tuple(list(base.rows)), tuple(list(base.orders)))
     assert copy.rows is not base.rows and copy.orders is not base.orders
-    assert "_class_masks" not in vars(copy)
     assert oracle.verify_complete_multipartite(copy)
-    # Masks of one modulus never reach the next.
+    # Nothing of one modulus reaches the next.
     for n, m in [(12, 30), (30, 12), (1680, 1693), (1693, 1680)]:
         oracle.build(n)
         assert oracle.verify_complete_multipartite(oracle.build(m)), (n, m)
