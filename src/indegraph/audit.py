@@ -15,7 +15,6 @@ import csv
 import io
 from collections import Counter
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
@@ -504,6 +503,10 @@ def sweep(
     cfg = config or AuditConfig()
     ns = range(lo, hi + 1)
     if jobs > 1 and hi > lo:
+        # Imported here, not at the top: the pool's stack (multiprocessing,
+        # pickle, logging, ...) would load on every `import indegraph`.
+        from concurrent.futures import ProcessPoolExecutor
+
         task = partial(audit_n, config=cfg)
         with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
             results = tuple(tuple(r) for r in pool.map(task, ns, chunksize=4))

@@ -136,6 +136,7 @@ def _cmd_info(args: argparse.Namespace, config: AuditConfig) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace, config: AuditConfig) -> int:
+    zn.check_modulus(args.n)
     report = sweep(args.n, args.n, config, jobs=1)
     print(render_report(report, "md"))
     if args.strict and report.has_mismatch():

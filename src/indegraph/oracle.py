@@ -36,12 +36,12 @@ modulus check.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from math import inf, isqrt
 from operator import and_, mul, rshift
-from typing import Iterator
 
 from indegraph.invariants import INFINITE, ORACLE, InvariantSet, is_star_profile
 from indegraph.zn import CapacityError, check_modulus

@@ -1,6 +1,11 @@
+import concurrent.futures
 import inspect
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -152,10 +157,44 @@ def test_sweep_starts_no_more_workers_than_moduli(monkeypatch):
         def map(self, fn, iterable, chunksize=1):
             return map(fn, iterable)
 
-    monkeypatch.setattr(audit, "ProcessPoolExecutor", InProcessPool)
+    # `sweep` imports the pool class at call time, so patch it at its source.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     report = sweep(2, 4, jobs=10**6)
     assert asked == [3]
     assert report == sweep(2, 4, jobs=1)
+
+
+# Run in a fresh interpreter: single-n work and serial sweeps must not load
+# the process pool's stack; only a sweep with more than one job does.
+COLD_START = """
+import contextlib, io, json, sys
+from indegraph import cli
+from indegraph.audit import audit_n, sweep
+
+POOL = ("multiprocessing", "concurrent.futures.process")
+audit_n(12)
+serial = sweep(2, 8)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["info", "12", "--json"]), cli.main(["audit", "12"])]
+before = [m for m in POOL if m in sys.modules]
+parallel = sweep(2, 8, jobs=2)
+after = [m for m in POOL if m in sys.modules]
+print(json.dumps([codes, before, after, parallel == serial]))
+"""
+
+
+def test_only_a_parallel_sweep_loads_the_process_pool():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    codes, before, after, equal = json.loads(done.stdout)
+    assert codes == [0, 0]
+    assert before == []
+    assert after == ["multiprocessing", "concurrent.futures.process"]
+    assert equal
 
 
 def test_oracle_tier_never_calls_the_closed_forms(monkeypatch):

@@ -98,6 +98,14 @@ def test_info_rejects_bad_n(capsys):
     assert "modulus" in err
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_audit_rejects_bad_n(capsys, n):
+    code, out, err = run(capsys, "audit", n)
+    assert code == 1
+    assert err == f"indegraph: error: modulus must be at least 2, got {n}\n"
+    assert out == ""
+
+
 def test_audit_strict_exit_codes(capsys):
     code, out, _ = run(capsys, "audit", "9", "--strict")
     assert code == 2
