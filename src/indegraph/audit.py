@@ -3,10 +3,15 @@
 `ground_truth` builds one record of facts per n: from the brute-force
 oracle while n sits inside the configured limits, from the
 oracle-validated closed forms beyond them. Each claim is one row of
-`CLAIMS`, and one evaluator turns a row and the record into a verdict.
-Every verdict records which tier produced it, so a skeptical reader can
-filter the closed-form ones out; with the fallback disabled, checks on
-closed-form facts surface as SKIPPED_ORACLE_LIMIT instead.
+`CLAIMS`: a check, an `applies` rule, the tier field the check reads and
+`witness_on_match`. `_equals` builds fifteen of the checks from a claimed
+value as a function of n, the record field it must equal, a rendering
+and a witness. T2.7, T2.16, T4.4 and T3.3/C3.4 keep checks of their own:
+a degree per residue kind, a bound, a label over two fields, and a
+structure together with a count. `_verdict` builds a witness only when
+the verdict shows it and records the tier behind each verdict, so a
+skeptical reader can filter the closed-form ones out; with the fallback
+disabled, checks on closed-form facts surface as SKIPPED_ORACLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -152,40 +157,106 @@ def ground_truth(n: int, config: AuditConfig) -> InvariantSet:
 
 # -- the claims ------------------------------------------------------------
 
-# A check reads the record and returns (claimed, observed, holds, witness),
-# or raises NotApplicable when the claim's hypotheses exclude n.
-CheckResult = tuple[str, str, bool, str | None]
+CheckResult = tuple[str, str, bool, Callable[[], str | None]]
 Check = Callable[[int, InvariantSet], CheckResult]
 
 
-class NotApplicable(Exception):
-    """The claim's hypotheses exclude this n; the message says why."""
+def _always(n: int) -> None:
+    """The `applies` of a claim whose hypotheses hold for every n."""
 
 
 @dataclass(frozen=True)
 class Claim:
     """One audited claim, as a row of data.
 
-    `tier` names the record field holding the tier of the facts `check`
-    reads. The witness is reported on a mismatch, and on a match too
-    when `witness_on_match` is set.
+    `check` returns (claimed, observed, holds, witness); the witness is a
+    function of no arguments, called only on a mismatch, or on a match too
+    when `witness_on_match` is set. `tier` names the record field holding
+    the tier of the facts `check` reads.
     """
 
     theorem: TheoremId
     gloss: str
     check: Check
+    applies: Callable[[int], str | None] = _always
     tier: str = "tier"
     witness_on_match: bool = False
 
 
-def _is(word: str, value: bool) -> str:
-    return word if value else f"not {word}"
+def _equals(
+    claimed: Callable[[int], object],
+    field: str,
+    witness: Callable[[int, InvariantSet], str | None],
+    show: Callable[[object], str] = str,
+) -> Check:
+    """The check that `claimed(n)` equals the record's `field`; `show` renders both.
+
+    `claimed` looks its formula up when called (`lambda n: claims.girth(n)`,
+    never `claims.girth` itself), so that tracers and profilers that
+    rebind the layers' module attributes see every call.
+    """
+
+    def check(n: int, truth: InvariantSet) -> CheckResult:
+        want, got = claimed(n), getattr(truth, field)
+        return show(want), show(got), want == got, partial(witness, n, truth)
+
+    return check
 
 
-def _multipartite_str(truth: InvariantSet) -> str:
-    if truth.multipartite:
-        return f"complete {truth.partite_count}-partite"
-    return "adjacency deviates from the order-class pattern"
+def _complete_partite(
+    parts: Callable[[int], int],
+    suffix: str,
+    witness: Callable[[int, InvariantSet], str],
+) -> Check:
+    """The check that the graph is complete parts(n)-partite; `suffix` ends the claim."""
+
+    def check(n: int, truth: InvariantSet) -> CheckResult:
+        k = parts(n)
+        if truth.multipartite:
+            observed = f"complete {truth.partite_count}-partite"
+        else:
+            observed = "adjacency deviates from the order-class pattern"
+        ok = truth.multipartite and truth.partite_count == k
+        return f"complete {k}-partite{suffix}", observed, ok, partial(witness, n, truth)
+
+    return check
+
+
+def _is(word: str) -> Callable[[object], str]:
+    """Renders a truth value as `word` or `not word`."""
+    return lambda value: word if value else f"not {word}"
+
+
+def _above_2(n: int) -> str | None:
+    return "the claim assumes n > 2" if n == 2 else None
+
+
+def _three_way_split(n: int) -> str | None:
+    if n == 2:
+        return "units and involutions overlap at n=2; the three-way split degenerates"
+    return None
+
+
+def _composite_from_4(n: int) -> str | None:
+    return "the claim covers composite n >= 4 only" if n < 4 or zn.is_prime(n) else None
+
+
+def _prime(n: int) -> str | None:
+    return None if zn.is_prime(n) else "the claim covers prime n only"
+
+
+def _composite(n: int) -> str | None:
+    return "the claim covers composite n only" if zn.is_prime(n) else None
+
+
+def _two_distinct_primes(n: int) -> str | None:
+    if list(zn.factorize(n).values()) != [1, 1]:
+        return "n is not a product of two distinct primes"
+    return None
+
+
+def _neither_witness(n: int, truth: InvariantSet) -> str:
+    return f"enumeration finds {truth.neither} residues outside units and involutions"
 
 
 def _completeness_witness(n: int, truth: InvariantSet) -> str:
@@ -199,31 +270,31 @@ def _ham_witness(n: int, truth: InvariantSet) -> str:
     return f"the unit class holds {phi} of {n} vertices, more than half"
 
 
-def _needs_n_above_2(n: int) -> None:
-    if n == 2:
-        raise NotApplicable("the claim assumes n > 2")
+def _iff_witness(n: int, truth: InvariantSet) -> str:
+    return _ham_witness(n, truth) + "; biconditional reading of the claim"
 
 
-def _involutions(n: int, truth: InvariantSet) -> CheckResult:
-    claimed, observed = claims.involution_count(n), truth.involutions
-    witness = f"enumeration finds {observed} involutions"
-    return str(claimed), str(observed), claimed == observed, witness
+def _cycle_witness(n: int, truth: InvariantSet) -> str | None:
+    if not truth.hamiltonian:
+        return _ham_witness(n, truth)
+    if truth.hamiltonian_cycle is None:
+        return None
+    return "cycle " + " ".join(map(str, truth.hamiltonian_cycle))
 
 
-def _neither(n: int, truth: InvariantSet, swapped: bool) -> CheckResult:
-    if n == 2:
-        raise NotApplicable(
-            "units and involutions overlap at n=2; the three-way split degenerates"
-        )
-    claimed, observed = claims.neither_count(n, swapped=swapped), truth.neither
-    witness = f"enumeration finds {observed} residues outside units and involutions"
-    return str(claimed), str(observed), claimed == observed, witness
+def _clique_witness(n: int, truth: InvariantSet) -> str:
+    size = truth.clique_number
+    if truth.clique_vertices:
+        found = " ".join(map(str, truth.clique_vertices))
+        return f"exact search finds maximum clique {{{found}}} of size {size}"
+    return f"one vertex from each of the {size} order classes is a maximum clique"
 
 
-def _connected(n: int, truth: InvariantSet) -> CheckResult:
-    observed = "connected" if truth.connected else "disconnected"
-    witness = "breadth-first search from vertex 0 misses part of the graph"
-    return "connected", observed, truth.connected, witness
+def _chromatic_witness(n: int, truth: InvariantSet) -> str:
+    colors = truth.chromatic_number
+    if truth.exact_tier == ORACLE:
+        return f"exact search proves {colors} colors necessary and sufficient"
+    return f"one color per order class: {colors} colors, clique-tight"
 
 
 def _degrees(n: int, truth: InvariantSet) -> CheckResult:
@@ -268,176 +339,106 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
                 if first_bad is None:
                     first_bad = (vertex, order, deg, claim)
     if first_bad is None:
-        return claimed, "all degrees as claimed", True, None
+        return claimed, "all degrees as claimed", True, lambda: None
     vertex, order, deg, claim = first_bad
-    witness = (
+    return claimed, f"vertex {vertex} has degree {deg}", False, lambda: (
         f"vertex {vertex} (order {order}) has degree {deg}, "
         f"claimed {' or '.join(map(str, claim))}; "
         f"{deviating} of {n} vertices deviate"
     )
-    return claimed, f"vertex {vertex} has degree {deg}", False, witness
-
-
-def _edges(n: int, truth: InvariantSet) -> CheckResult:
-    claimed, observed = claims.edge_count(n), truth.edge_count
-    witness = f"the adjacency relation contains {observed} unordered pairs"
-    return str(claimed), str(observed), claimed == observed, witness
-
-
-def _never_complete(n: int, truth: InvariantSet) -> CheckResult:
-    _needs_n_above_2(n)
-    observed = _is("complete", truth.complete)
-    return "not complete", observed, not truth.complete, _completeness_witness(n, truth)
-
-
-def _complete_iff(n: int, truth: InvariantSet) -> CheckResult:
-    claimed, observed = _is("complete", n == 2), _is("complete", truth.complete)
-    return claimed, observed, claimed == observed, _completeness_witness(n, truth)
-
-
-def _star(n: int, truth: InvariantSet) -> CheckResult:
-    claimed, observed = _is("star", zn.is_prime(n)), _is("star", truth.star)
-    ok = claimed == observed
-    # The profile is only rendered when it becomes the witness.
-    witness = None if ok else f"degree profile {profile_str(truth.degree_counts)}"
-    return claimed, observed, ok, witness
-
-
-def _girth(n: int, truth: InvariantSet) -> CheckResult:
-    claimed, observed = claims.girth(n), truth.girth
-    witness = f"shortest cycle length {length_str(observed)}"
-    return length_str(claimed), length_str(observed), claimed == observed, witness
 
 
 def _diameter(n: int, truth: InvariantSet) -> CheckResult:
-    observed = truth.diameter
-    witness = f"some pair sits at distance {length_str(observed)}"
-    return "<= 2", length_str(observed), observed <= 2, witness
-
-
-def _hamiltonian_composite(n: int, truth: InvariantSet) -> CheckResult:
-    if n < 4 or zn.is_prime(n):
-        raise NotApplicable("the claim covers composite n >= 4 only")
-    cycle = truth.hamiltonian_cycle
-    if not truth.hamiltonian:
-        witness = _ham_witness(n, truth)
-    elif cycle is not None:
-        witness = "cycle " + " ".join(str(v) for v in cycle)
-    else:
-        witness = None
-    observed = _is("hamiltonian", truth.hamiltonian)
-    return "hamiltonian", observed, truth.hamiltonian, witness
-
-
-def _hamiltonian_iff(n: int, truth: InvariantSet) -> CheckResult:
-    claimed = n not in (2, 3)
-    witness = _ham_witness(n, truth) + "; biconditional reading of the claim"
-    return (
-        _is("hamiltonian", claimed),
-        _is("hamiltonian", truth.hamiltonian),
-        claimed == truth.hamiltonian,
-        witness,
-    )
-
-
-def _bipartite_prime(n: int, truth: InvariantSet) -> CheckResult:
-    if not zn.is_prime(n):
-        raise NotApplicable("the claim covers prime n only")
-    observed = _is("bipartite", truth.bipartite)
-    return "bipartite", observed, truth.bipartite, "two-coloring fails"
-
-
-def _bipartite_composite(n: int, truth: InvariantSet) -> CheckResult:
-    if zn.is_prime(n):
-        raise NotApplicable("the claim covers composite n only")
-    observed = _is("bipartite", truth.bipartite)
-    return "not bipartite", observed, not truth.bipartite, "two-coloring succeeds"
-
-
-def _multipartite(n: int, truth: InvariantSet) -> CheckResult:
-    parts = zn.divisor_count(n)
-    ok = truth.multipartite and truth.partite_count == parts
-    witness = f"order classes: {parts}; distinct non-neighborhoods: {truth.partite_count}"
-    claimed = f"complete {parts}-partite on the order classes"
-    return claimed, _multipartite_str(truth), ok, witness
-
-
-def _semiprime(n: int, truth: InvariantSet) -> CheckResult:
-    factors = zn.factorize(n)
-    if len(factors) != 2 or any(e != 1 for e in factors.values()):
-        raise NotApplicable("n is not a product of two distinct primes")
-    ok = truth.multipartite and truth.partite_count == 4
-    witness = f"distinct non-neighborhoods: {truth.partite_count}"
-    return "complete 4-partite", _multipartite_str(truth), ok, witness
-
-
-def _clique(n: int, truth: InvariantSet) -> CheckResult:
-    _needs_n_above_2(n)
-    claimed, observed = claims.clique_number(n), truth.clique_number
-    if truth.clique_vertices:
-        found = " ".join(str(v) for v in truth.clique_vertices)
-        witness = f"exact search finds maximum clique {{{found}}} of size {observed}"
-    else:
-        witness = (
-            f"one vertex from each of the {observed} order classes is a maximum clique"
-        )
-    return str(claimed), str(observed), claimed == observed, witness
-
-
-def _chromatic(n: int, truth: InvariantSet) -> CheckResult:
-    _needs_n_above_2(n)
-    claimed, observed = claims.chromatic_number(n), truth.chromatic_number
-    if truth.exact_tier == ORACLE:
-        witness = f"exact search proves {observed} colors necessary and sufficient"
-    else:
-        witness = f"one color per order class: {observed} colors, clique-tight"
-    return str(claimed), str(observed), claimed == observed, witness
+    observed = length_str(truth.diameter)
+    ok = truth.diameter <= 2
+    return "<= 2", observed, ok, lambda: f"some pair sits at distance {observed}"
 
 
 def _perfectness(n: int, truth: InvariantSet) -> CheckResult:
-    _needs_n_above_2(n)
     claimed = claims.perfect_verdict(n)
     clique, chromatic = truth.clique_number, truth.chromatic_number
     observed = claims.WEAKLY_PERFECT if clique == chromatic else claims.STRONGLY_PERFECT
-    witness = (
+    return claimed, observed, claimed == observed, lambda: (
         f"ground truth clique {clique} chromatic {chromatic}; equality is labeled "
         f"weakly perfect by the audited definition (standard usage reversed)"
     )
-    return claimed, observed, claimed == observed, witness
 
 
 CLAIMS: tuple[Claim, ...] = (
-    Claim(TheoremId.L2_5, "involution count is 1 for odd n, 2 for even n", _involutions),
+    Claim(TheoremId.L2_5, "involution count is 1 for odd n, 2 for even n",
+          _equals(lambda n: claims.involution_count(n), "involutions",
+                  lambda n, t: f"enumeration finds {t.involutions} involutions")),
     Claim(TheoremId.L2_6, "count outside units and involutions, cases as printed",
-          partial(_neither, swapped=False)),
+          _equals(lambda n: claims.neither_count(n), "neither", _neither_witness),
+          applies=_three_way_split),
     Claim(TheoremId.L2_6_SWAPPED, "the same count with the even/odd cases exchanged",
-          partial(_neither, swapped=True)),
-    Claim(TheoremId.T2_4, "the graph is connected", _connected),
+          _equals(lambda n: claims.neither_count(n, swapped=True), "neither",
+                  _neither_witness),
+          applies=_three_way_split),
+    Claim(TheoremId.T2_4, "the graph is connected",
+          _equals(lambda n: True, "connected",
+                  lambda n, t: "breadth-first search from vertex 0 misses part "
+                               "of the graph",
+                  show=lambda value: "connected" if value else "disconnected")),
     Claim(TheoremId.T2_7, "degrees: n-1 / n-phi(n) / phi(n)+2 or phi(n)+1 by case",
           _degrees),
-    Claim(TheoremId.T2_10, "edge-count formula in n and phi(n)", _edges),
-    Claim(TheoremId.T2_12, "never complete for n > 2", _never_complete),
-    Claim(TheoremId.C2_13, "complete exactly when n = 2", _complete_iff),
-    Claim(TheoremId.T2_14, "star graph exactly when n is prime", _star),
-    Claim(TheoremId.T2_15, "girth is 3 for composite n, infinite for prime n", _girth),
+    Claim(TheoremId.T2_10, "edge-count formula in n and phi(n)",
+          _equals(lambda n: claims.edge_count(n), "edge_count",
+                  lambda n, t: f"the adjacency relation contains {t.edge_count} "
+                               "unordered pairs")),
+    Claim(TheoremId.T2_12, "never complete for n > 2",
+          _equals(lambda n: False, "complete", _completeness_witness,
+                  show=_is("complete")),
+          applies=_above_2),
+    Claim(TheoremId.C2_13, "complete exactly when n = 2",
+          _equals(lambda n: n == 2, "complete", _completeness_witness,
+                  show=_is("complete"))),
+    Claim(TheoremId.T2_14, "star graph exactly when n is prime",
+          _equals(lambda n: zn.is_prime(n), "star",
+                  lambda n, t: f"degree profile {profile_str(t.degree_counts)}",
+                  show=_is("star"))),
+    Claim(TheoremId.T2_15, "girth is 3 for composite n, infinite for prime n",
+          _equals(lambda n: claims.girth(n), "girth",
+                  lambda n, t: f"shortest cycle length {length_str(t.girth)}",
+                  show=length_str)),
     Claim(TheoremId.T2_16, "diameter is at most 2", _diameter),
     Claim(TheoremId.T2_17, "hamiltonian for every composite n >= 4",
-          _hamiltonian_composite, tier="hamiltonian_tier", witness_on_match=True),
+          _equals(lambda n: True, "hamiltonian", _cycle_witness,
+                  show=_is("hamiltonian")),
+          applies=_composite_from_4, tier="hamiltonian_tier", witness_on_match=True),
     Claim(TheoremId.R2_18, "non-hamiltonian exactly for n in {2, 3} (iff reading)",
-          _hamiltonian_iff, tier="hamiltonian_tier"),
-    Claim(TheoremId.T3_1, "bipartite for prime n", _bipartite_prime),
-    Claim(TheoremId.T3_2, "not bipartite for composite n", _bipartite_composite),
-    Claim(TheoremId.T3_3, "complete multipartite on the order classes", _multipartite),
+          _equals(lambda n: n not in (2, 3), "hamiltonian", _iff_witness,
+                  show=_is("hamiltonian")),
+          tier="hamiltonian_tier"),
+    Claim(TheoremId.T3_1, "bipartite for prime n",
+          _equals(lambda n: True, "bipartite", lambda n, t: "two-coloring fails",
+                  show=_is("bipartite")),
+          applies=_prime),
+    Claim(TheoremId.T3_2, "not bipartite for composite n",
+          _equals(lambda n: False, "bipartite", lambda n, t: "two-coloring succeeds",
+                  show=_is("bipartite")),
+          applies=_composite),
+    Claim(TheoremId.T3_3, "complete multipartite on the order classes",
+          _complete_partite(
+              lambda n: zn.divisor_count(n), " on the order classes",
+              lambda n, t: f"order classes: {zn.divisor_count(n)}; "
+                           f"distinct non-neighborhoods: {t.partite_count}")),
     Claim(TheoremId.C3_4, "complete 4-partite when n is a product of two primes",
-          _semiprime),
+          _complete_partite(
+              lambda n: 4, "",
+              lambda n, t: f"distinct non-neighborhoods: {t.partite_count}"),
+          applies=_two_distinct_primes),
     Claim(TheoremId.T4_1, "clique-number formula in n, phi(n) and the involution count",
-          _clique, tier="exact_tier"),
+          _equals(lambda n: claims.clique_number(n), "clique_number", _clique_witness),
+          applies=_above_2, tier="exact_tier"),
     Claim(TheoremId.T4_3,
           "chromatic-number formula in n, phi(n) and the involution count",
-          _chromatic, tier="exact_tier"),
+          _equals(lambda n: claims.chromatic_number(n), "chromatic_number",
+                  _chromatic_witness),
+          applies=_above_2, tier="exact_tier"),
     Claim(TheoremId.T4_4,
           "perfectness verdict from the claimed formulas (inverted terms)",
-          _perfectness, tier="exact_tier", witness_on_match=True),
+          _perfectness, applies=_above_2, tier="exact_tier", witness_on_match=True),
 )
 
 _SKIP_REASON = "oracle limit exceeded and closed-form fallback disabled"
@@ -447,20 +448,19 @@ def _verdict(
     claim: Claim, n: int, truth: InvariantSet, fallback: bool
 ) -> TheoremVerdict:
     """NOT_APPLICABLE first, then SKIPPED_ORACLE_LIMIT, then MATCH or MISMATCH."""
-    try:
-        claimed, observed, ok, witness = claim.check(n, truth)
-    except NotApplicable as reason:
+    reason = claim.applies(n)
+    if reason is not None:
         return TheoremVerdict(
-            claim.theorem, n, "", "", Status.NOT_APPLICABLE, str(reason), truth.tier
+            claim.theorem, n, "", "", Status.NOT_APPLICABLE, reason, truth.tier
         )
+    claimed, observed, ok, witness = claim.check(n, truth)
     tier = getattr(truth, claim.tier)
     if tier == CLOSED_FORM and not fallback:
         skipped = Status.SKIPPED_ORACLE_LIMIT
         return TheoremVerdict(claim.theorem, n, claimed, "", skipped, _SKIP_REASON, ORACLE)
     status = Status.MATCH if ok else Status.MISMATCH
-    if ok and not claim.witness_on_match:
-        witness = None
-    return TheoremVerdict(claim.theorem, n, claimed, observed, status, witness, tier)
+    shown = witness() if not ok or claim.witness_on_match else None
+    return TheoremVerdict(claim.theorem, n, claimed, observed, status, shown, tier)
 
 
 def audit_n(n: int, config: AuditConfig | None = None) -> list[TheoremVerdict]:
@@ -590,17 +590,15 @@ def _render_markdown(report: SweepReport) -> str:
             f"| {s.skipped} | {first} |"
         )
     mismatch_lines = []
-    for theorem in TheoremId:
-        s = report.summary[theorem]
-        if s.first_counterexample is None:
-            continue
-        for v in report.verdicts_for(s.first_counterexample):
-            if v.theorem is theorem and v.status is Status.MISMATCH:
-                detail = f" ({v.witness})" if v.witness else ""
-                mismatch_lines.append(
-                    f"- {theorem.value} first fails at n={v.n}: "
-                    f"claimed {v.claimed}, observed {v.observed}.{detail}"
-                )
+    for i, claim in enumerate(CLAIMS):
+        first = report.summary[claim.theorem].first_counterexample
+        if first is not None:
+            v = report.verdicts_for(first)[i]
+            detail = f" ({v.witness})" if v.witness else ""
+            mismatch_lines.append(
+                f"- {v.theorem.value} first fails at n={v.n}: "
+                f"claimed {v.claimed}, observed {v.observed}.{detail}"
+            )
     lines.append("")
     lines.append("## Mismatches")
     lines.append("")

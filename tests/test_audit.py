@@ -1,24 +1,30 @@
 import concurrent.futures
+import hashlib
 import inspect
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from indegraph import audit, claims, closed_form, oracle
+from indegraph import audit, claims, closed_form, oracle, zn
 from indegraph.audit import (
+    CLAIMS,
     AuditConfig,
     Status,
     TheoremId,
+    _verdict,
     audit_n,
+    ground_truth,
     render_report,
     sweep,
 )
+from indegraph.invariants import INFINITE
 
 from conftest import SMOOTH_MODULI, per_divisor_invariants
 
@@ -406,3 +412,79 @@ def test_render_rejects_unknown_format():
     for fmt in ("xml", "markdown", "MD"):
         with pytest.raises(ValueError):
             render_report(report, fmt)
+
+
+# -- doctored records ------------------------------------------------------------
+
+DOCTORED_NS = (2, 3, 4, 5, 6, 8, 9, 12, 15, 30, 35, 49, 97, 100)
+LIMITS_2 = AuditConfig(oracle_build_limit=2, exact_search_limit=2, hamiltonian_limit=2)
+FLAGS = ("connected", "complete", "star", "bipartite", "multipartite")
+
+
+def _swap(value, a, b):
+    return b if value == a else a if value == b else value
+
+
+def doctored(truth):
+    """The record, then one copy per field changed so that claims on it fail."""
+    return [
+        truth,
+        replace(truth, involutions=truth.involutions + 1),
+        replace(truth, neither=truth.neither + 1),
+        replace(truth, edge_count=truth.edge_count + 1),
+        *(replace(truth, **{flag: not getattr(truth, flag)}) for flag in FLAGS),
+        replace(truth, girth=_swap(truth.girth, 3, 4)),
+        replace(truth, girth=_swap(truth.girth, 3, INFINITE)),
+        replace(truth, diameter=3),
+        replace(truth, diameter=INFINITE),
+        replace(truth, partite_count=truth.partite_count + 1),
+        replace(truth, clique_number=truth.clique_number + 1),
+        replace(truth, chromatic_number=truth.chromatic_number + 1),
+        replace(truth, hamiltonian=not truth.hamiltonian),
+    ]
+
+
+def test_verdicts_on_doctored_records_are_pinned():
+    # On [2, 512] the real records reach MISMATCH on 8 of the 20 claims; these
+    # reach every claim's mismatch text and witness, under both tiers and
+    # with the closed-form fallback on and off.
+    reprs = []
+    for n in DOCTORED_NS:
+        for config in (AuditConfig(), LIMITS_2):
+            for truth in doctored(ground_truth(n, config)):
+                for claim in CLAIMS:
+                    for fallback in (True, False):
+                        v = _verdict(claim, n, truth, fallback)
+                        assert v.witness is None or isinstance(v.witness, str), v
+                        reprs.append(repr(v))
+    assert len(reprs) == 19040
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == (
+        "390a0a122f9f4b7bc96baf1a74ff7b0484ae996a6d507ec9c6eed5a69f5dd80a"
+    )
+
+
+def test_audit_reaches_claims_and_zn_through_module_attributes(monkeypatch):
+    # Tracing and profiling rebind these module attributes; the audit must
+    # look the functions up there at call time, not hold references.
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    targets = [
+        (claims, name) for name, value in vars(claims).items()
+        if inspect.isfunction(value) and not name.startswith("_")
+        and value.__module__ == claims.__name__
+    ]
+    targets += [(zn, "is_prime"), (zn, "divisor_count")]
+    for module, name in targets:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    names = {name for _, name in targets}
+    for n in (12, 35):
+        for config in (AuditConfig(), LIMITS_2):
+            calls.clear()
+            audit_n(n, config)
+            assert set(calls) == names, (n, config)
