@@ -23,6 +23,7 @@ from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 
 from indegraph import claims, closed_form, oracle, zn
@@ -331,9 +332,11 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
                     first_bad = ((n // order) % n, order, n - size, claim)
     else:
         # The oracle tier evaluates the claim once per vertex; the
-        # benchmark's tests pin that call count.
+        # benchmark's tests pin that call count. The kind is looked up
+        # once per distinct order.
+        kinds = {order: zn.order_kind(order, n) for order in set(map(itemgetter(1), items))}
         for vertex, order, deg, size in items:
-            claim = claims.degree_claim(zn.order_kind(order, n), n)
+            claim = claims.degree_claim(kinds[order], n)
             if deg not in claim:
                 deviating += size
                 if first_bad is None:
@@ -492,6 +495,13 @@ def _summarize(
     return summary
 
 
+def _audit_all(
+    ns: range, config: AuditConfig
+) -> tuple[tuple[TheoremVerdict, ...], ...]:
+    """The verdicts for every n in `ns`, in order: a serial sweep, or one pool task."""
+    return tuple(tuple(audit_n(n, config)) for n in ns)
+
+
 def sweep(
     lo: int, hi: int, config: AuditConfig | None = None, jobs: int = 1
 ) -> SweepReport:
@@ -507,11 +517,19 @@ def sweep(
         # pickle, logging, ...) would load on every `import indegraph`.
         from concurrent.futures import ProcessPoolExecutor
 
-        task = partial(audit_n, config=cfg)
-        with ProcessPoolExecutor(max_workers=min(jobs, len(ns))) as pool:
-            results = tuple(tuple(r) for r in pool.map(task, ns, chunksize=4))
+        # Per-n cost grows with n, so the k strided ranges ns[i::k] cost
+        # about the same. Each is one task, one message each way; 4 per
+        # worker let a worker that finishes early take over the rest.
+        workers = min(jobs, len(ns))
+        k = min(4 * workers, len(ns))
+        merged: list = [None] * len(ns)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            strides = [ns[i::k] for i in range(k)]
+            for i, part in enumerate(pool.map(partial(_audit_all, config=cfg), strides)):
+                merged[i::k] = part
+        results = tuple(merged)
     else:
-        results = tuple(tuple(audit_n(n, cfg)) for n in ns)
+        results = _audit_all(ns, cfg)
     return SweepReport(lo, hi, cfg, results, _summarize(results))
 
 
@@ -529,27 +547,34 @@ def render_report(report: SweepReport, fmt: str) -> str:
     raise ValueError(f"unknown report format: {fmt!r}")
 
 
+# One verdict and one n of the JSON report at their fixed depths, as
+# json.dumps(indent=2) writes them.
+_VERDICT_JSON = """{
+          "theorem": %s,
+          "status": %s,
+          "claimed": %s,
+          "observed": %s,
+          "witness": %s,
+          "ground_truth": %s
+        }"""
+_RESULT_JSON = """{
+      "n": %d,
+      "verdicts": [
+        %s
+      ]
+    }"""
+
+
 def _render_json(report: SweepReport) -> str:
-    payload = {
+    """The report as json.dumps(indent=2) writes it.
+
+    `json_text` writes the range, config and summary; each verdict is
+    written straight into text, one by one.
+    """
+    text = json_text({
         "range": [report.lo, report.hi],
         "config": asdict(report.config),
-        "results": [
-            {
-                "n": verdicts[0].n,
-                "verdicts": [
-                    {
-                        "theorem": v.theorem.value,
-                        "status": v.status.value,
-                        "claimed": v.claimed,
-                        "observed": v.observed,
-                        "witness": v.witness,
-                        "ground_truth": v.ground_truth,
-                    }
-                    for v in verdicts
-                ],
-            }
-            for verdicts in report.results
-        ],
+        "results": [],
         "summary": {
             theorem.value: {
                 "holds": s.holds,
@@ -558,8 +583,31 @@ def _render_json(report: SweepReport) -> str:
             }
             for theorem, s in report.summary.items()
         },
-    }
-    return json_text(payload)
+    })
+    if not report.results:
+        return text
+    enc = encode_basestring_ascii
+    entries = [
+        _RESULT_JSON % (verdicts[0].n, ",\n        ".join([
+            _VERDICT_JSON % (
+                enc(v.theorem.value),
+                enc(v.status.value),
+                enc(v.claimed),
+                enc(v.observed),
+                "null" if v.witness is None else enc(v.witness),
+                enc(v.ground_truth),
+            )
+            for v in verdicts
+        ]))
+        for verdicts in report.results
+    ]
+    # Nothing in "range" or "config" can read '"results": []', so the first
+    # match is the key itself. The entries take the text around it, so the
+    # report is joined once: each extra copy of it would cost megabytes.
+    head, _, tail = text.partition('"results": []')
+    entries[0] = head + '"results": [\n    ' + entries[0]
+    entries[-1] += "\n  ]" + tail
+    return ",\n    ".join(entries)
 
 
 def _render_csv(report: SweepReport) -> str:

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -145,10 +146,14 @@ def test_sweep_parallel_equals_serial():
     assert serial.summary == parallel.summary
 
 
-def test_sweep_starts_no_more_workers_than_moduli(monkeypatch):
-    # A fake pool: it records the worker count and maps in-process, so
-    # no worker process is ever started.
-    asked = []
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """A fake pool that maps in-process, so no worker process is ever started.
+
+    Returns (asked, tasks): the worker count of each pool and the inputs
+    of each `map`.
+    """
+    asked, tasks = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -161,13 +166,38 @@ def test_sweep_starts_no_more_workers_than_moduli(monkeypatch):
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            tasks.append(list(iterable))
+            return map(fn, tasks[-1])
 
     # `sweep` imports the pool class at call time, so patch it at its source.
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    return asked, tasks
+
+
+def test_sweep_starts_no_more_workers_than_moduli(in_process_pool):
+    asked, _ = in_process_pool
     report = sweep(2, 4, jobs=10**6)
     assert asked == [3]
     assert report == sweep(2, 4, jobs=1)
+
+
+def test_strided_sweep_merges_back_in_order(in_process_pool):
+    asked, tasks = in_process_pool
+    serial = {hi: sweep(2, hi, jobs=1) for hi in range(2, 43)}
+    for jobs in range(1, 10):
+        for hi, expected in serial.items():
+            asked.clear()
+            tasks.clear()
+            assert sweep(2, hi, jobs=jobs) == expected, (jobs, hi)
+            if jobs == 1 or hi == 2:
+                assert asked == tasks == []
+                continue
+            workers = min(jobs, hi - 1)
+            assert asked == [workers]
+            [strides] = tasks
+            assert len(strides) <= 4 * workers
+            assert all(type(stride) is range for stride in strides)
+            assert sorted(chain.from_iterable(strides)) == list(range(2, hi + 1))
 
 
 # Run in a fresh interpreter: single-n work and serial sweeps must not load
@@ -348,6 +378,50 @@ def test_closed_form_tier_evaluates_one_degree_claim_per_kind(n, config, monkeyp
     assert len(calls) == len(set(calls))
 
 
+@pytest.mark.parametrize("n", (2, 12, 30, 97, 360))
+def test_oracle_tier_looks_up_one_kind_per_order(n, monkeypatch):
+    calls = Counter()
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    counting(claims, "degree_claim")
+    counting(zn, "order_kind")
+    verdicts = audit_n(n)
+    assert verdict(verdicts, TheoremId.T2_7).ground_truth == "ORACLE"
+    assert calls == {"degree_claim": n, "order_kind": zn.divisor_count(n)}
+
+
+def test_degree_item_with_a_foreign_order_raises():
+    truth = ground_truth(12, AuditConfig())
+    vertex, order, degree, size = truth.degree_items[5]
+    doctored_items = list(truth.degree_items)
+    doctored_items[5] = (vertex, 5, degree, size)
+    [t2_7] = [claim for claim in CLAIMS if claim.theorem is TheoremId.T2_7]
+    with pytest.raises(ValueError, match="does not divide"):
+        _verdict(t2_7, 12, replace(truth, degree_items=tuple(doctored_items)), True)
+
+
+@pytest.mark.parametrize("exact, hamiltonian", [(2, 64), (64, 2), (2, 2), (64, 64)])
+def test_ground_truth_fills_declined_searches_from_the_closed_forms(exact, hamiltonian):
+    config = AuditConfig(exact_search_limit=exact, hamiltonian_limit=hamiltonian)
+    record = audit.oracle_record(30, config)
+    fill = {}
+    if exact < 30:
+        parts = closed_form.clique_chromatic_number(30)
+        fill.update(exact_tier="CLOSED_FORM", clique_number=parts, chromatic_number=parts)
+    if hamiltonian < 30:
+        fill.update(hamiltonian_tier="CLOSED_FORM",
+                    hamiltonian=closed_form.is_hamiltonian(30))
+    assert ground_truth(30, config) == replace(record, **fill)
+
+
 def test_fallback_disabled_yields_skips():
     config = AuditConfig(oracle_build_limit=8, exact_search_limit=8,
                          hamiltonian_limit=8, closed_form_fallback=False)
@@ -382,6 +456,78 @@ def test_json_report_round_trips():
     assert ns == list(range(2, 21))
     t210 = parsed["summary"]["T2.10"]
     assert t210["fails"] > 0 and t210["first_counterexample"] == 10
+
+
+# Text as the claims and witnesses might hold it: non-ASCII, quotes,
+# backslashes, control characters, empty strings.
+report_text = st.text(st.sampled_from('"\\/\n\t\x00\x1f\x7f \u00e9\u2028\u20ac\U0001f600a1')
+                      | st.characters(), max_size=12)
+
+
+@st.composite
+def hand_built_reports(draw):
+    lo = draw(st.integers(min_value=2, max_value=10**6))
+    theorems = draw(st.lists(st.sampled_from(list(TheoremId)), min_size=1, max_size=4))
+    results = tuple(
+        tuple(
+            audit.TheoremVerdict(
+                theorem, n, draw(report_text), draw(report_text),
+                draw(st.sampled_from(list(Status))), draw(st.none() | report_text),
+                draw(report_text),
+            )
+            for theorem in theorems
+        )
+        for n in range(lo, lo + draw(st.integers(min_value=0, max_value=3)))
+    )
+    limits = st.integers(min_value=2, max_value=10**18)
+    config = AuditConfig(draw(limits), draw(limits), draw(limits), draw(st.booleans()))
+    counts = st.integers(min_value=0, max_value=600)
+    summary = {
+        theorem: audit.TheoremSummary(draw(counts), draw(counts), draw(counts),
+                                      draw(st.none() | st.integers(2, 600)))
+        for theorem in theorems
+    }
+    return audit.SweepReport(lo, lo + max(len(results) - 1, 0), config, results, summary)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(hand_built_reports())
+def test_json_report_equals_json_dumps_of_the_payload(report):
+    payload = {
+        "range": [report.lo, report.hi],
+        "config": {
+            "oracle_build_limit": report.config.oracle_build_limit,
+            "exact_search_limit": report.config.exact_search_limit,
+            "hamiltonian_limit": report.config.hamiltonian_limit,
+            "closed_form_fallback": report.config.closed_form_fallback,
+        },
+        "results": [
+            {
+                "n": verdicts[0].n,
+                "verdicts": [
+                    {
+                        "theorem": v.theorem.value,
+                        "status": v.status.value,
+                        "claimed": v.claimed,
+                        "observed": v.observed,
+                        "witness": v.witness,
+                        "ground_truth": v.ground_truth,
+                    }
+                    for v in verdicts
+                ],
+            }
+            for verdicts in report.results
+        ],
+        "summary": {
+            theorem.value: {
+                "holds": s.holds,
+                "fails": s.fails,
+                "first_counterexample": s.first_counterexample,
+            }
+            for theorem, s in report.summary.items()
+        },
+    }
+    assert render_report(report, "json") == json.dumps(payload, indent=2)
 
 
 def test_csv_report_contains_pinned_row():
