@@ -8,9 +8,9 @@ mismatch (or `info --verify` finds a disagreement).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
+from collections.abc import Iterator
 
 from indegraph import closed_form, oracle, zn
 from indegraph.audit import AuditConfig, oracle_record, render_report, sweep
@@ -156,44 +156,46 @@ def _cmd_sweep(args: argparse.Namespace, config: AuditConfig) -> int:
 # -- export ------------------------------------------------------------------
 
 
-def render_dot(graph: oracle.IndependentGraph, label_orders: bool = False) -> str:
-    lines = [f"graph indep_{graph.n} {{"]
+def render_dot(graph: oracle.IndependentGraph, label_orders: bool = False) -> Iterator[str]:
+    yield f"graph indep_{graph.n} {{\n"
     for v in range(graph.n):
-        if label_orders:
-            lines.append(f'  {v} [label="{v} o={graph.orders[v]}"];')
-        else:
-            lines.append(f"  {v};")
-    lines.extend(f"  {a} -- {b};" for a, b in graph.edges())
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield f'  {v} [label="{v} o={graph.orders[v]}"];\n' if label_orders else f"  {v};\n"
+    for a, b in graph.edges():
+        yield f"  {a} -- {b};\n"
+    yield "}\n"
 
 
-def render_edgelist(graph: oracle.IndependentGraph) -> str:
-    return "".join(f"{a} {b}\n" for a, b in graph.edges())
+def render_edgelist(graph: oracle.IndependentGraph) -> Iterator[str]:
+    return (f"{a} {b}\n" for a, b in graph.edges())
 
 
-def render_json_graph(graph: oracle.IndependentGraph) -> str:
-    payload = {"n": graph.n, "edges": [[a, b] for a, b in graph.edges()]}
-    return json.dumps(payload) + "\n"
+def render_json_graph(graph: oracle.IndependentGraph) -> Iterator[str]:
+    """The text of json.dumps({"n": n, "edges": [[a, b], ...]}) and a newline."""
+    yield f'{{"n": {graph.n}, "edges": ['
+    separator = ""
+    for a, b in graph.edges():
+        yield f"{separator}[{a}, {b}]"
+        separator = ", "
+    yield "]}\n"
 
 
 def _cmd_export(args: argparse.Namespace, config: AuditConfig) -> int:
     graph = oracle.build(args.n, limit=config.oracle_build_limit)
     if args.format == "dot":
-        text = render_dot(graph, label_orders=args.label_orders)
+        chunks = render_dot(graph, label_orders=args.label_orders)
     elif args.format == "edgelist":
-        text = render_edgelist(graph)
+        chunks = render_edgelist(graph)
     else:
-        text = render_json_graph(graph)
+        chunks = render_json_graph(graph)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8") as handle:
-                handle.write(text)
+                handle.writelines(chunks)
         except OSError as exc:
             print(f"indegraph: cannot write {args.output}: {exc}", file=sys.stderr)
             return EXIT_USAGE
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     return EXIT_OK
 
 

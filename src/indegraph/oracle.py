@@ -35,7 +35,7 @@ modulus check.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -58,6 +58,9 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+_Twins = namedtuple("_Twins", "first firsts sizes degrees rows components sides")
+
+
 @dataclass(frozen=True)
 class IndependentGraph:
     """I_G(Z_n) with one neighbor bitmask and one order per vertex."""
@@ -78,12 +81,13 @@ class IndependentGraph:
         return _iter_bits(self.rows[a])
 
     def degrees(self) -> tuple[int, ...]:
-        return self._quotient[3]
+        twins = self._twins
+        degree_of = dict(zip(twins.firsts, twins.degrees))
+        return tuple(map(degree_of.__getitem__, twins.first))
 
     def edge_count(self) -> int:
         """Half the degree sum, taken once per twin class."""
-        _, sizes, class_degrees = self._quotient[:3]
-        return sum(map(mul, sizes, class_degrees)) // 2
+        return sum(map(mul, self._twins.sizes, self._twins.degrees)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Unordered edges as (a, b) with a < b, lexicographic."""
@@ -99,16 +103,14 @@ class IndependentGraph:
     # -- false-twin quotient ---------------------------------------------
 
     @cached_property
-    def _quotient(self) -> tuple[
-        IndependentGraph, tuple[int, ...], tuple[int, ...], tuple[int, ...], list[int], list[int]
-    ]:
-        """G/≡ (one vertex per class of equal rows), the class sizes and
-        degrees, the degrees of G, each vertex's class as its first
-        member, and the first members.
+    def _twins(self) -> _Twins:
+        """The false-twin classes: each vertex's class as its first member,
+        the first members, the class sizes and degrees, the quotient's
+        rows, the component count of G and the quotient's even and odd
+        BFS sides.
 
-        Classes are numbered by their first member, and class i is
-        adjacent to class j exactly when the first member of i is
-        adjacent to the first member of j. Equal rows hold no edge
+        Class i is adjacent to class j exactly when the first member of
+        i is adjacent to the first member of j. Equal rows hold no edge
         between their owners (a row never contains its own vertex), so
         every class is an independent set, the quotient is an induced
         subgraph of G, and no two of its rows are equal. Twins share
@@ -116,7 +118,7 @@ class IndependentGraph:
 
         The rows are grouped by value in one C-level pass, one hash per
         row: `index.setdefault` maps each row to the first vertex that
-        has it.
+        has it. One BFS of the quotient gives its components and sides.
         """
         rows = self.rows
         index: dict[int, int] = {}
@@ -128,25 +130,16 @@ class IndependentGraph:
         quotient_rows = tuple(
             sum(1 << j for j, bit in enumerate(bits) if rows[v] & bit) for v in firsts
         )
-        class_degrees = tuple([rows[v].bit_count() for v in firsts])
-        degree_of = dict(zip(firsts, class_degrees))
-        degrees = tuple(map(degree_of.__getitem__, first))
-        quotient = IndependentGraph(len(firsts), quotient_rows, ())
-        return quotient, sizes, class_degrees, degrees, first, firsts
-
-    @cached_property
-    def _component_count(self) -> int:
-        """Components of the quotient, plus one per extra isolated twin."""
-        quotient, sizes = self._quotient[:2]
-        isolated_twins = sum(
-            size - 1 for row, size in zip(quotient.rows, sizes) if not row
-        )
-        return _layers(quotient.rows)[0] + isolated_twins
+        components, sides = _layers(quotient_rows)
+        # One more component for each extra member of a class with no edge.
+        components += sum(size - 1 for row, size in zip(quotient_rows, sizes) if not row)
+        degrees = tuple([rows[v].bit_count() for v in firsts])
+        return _Twins(first, firsts, sizes, degrees, quotient_rows, components, sides)
 
     # -- connectivity ----------------------------------------------------
 
     def is_connected(self) -> bool:
-        return self._component_count == 1
+        return self._twins.components == 1
 
     # -- distances -------------------------------------------------------
 
@@ -159,11 +152,11 @@ class IndependentGraph:
         they sit at distance 2. The diameter is the quotient's, raised
         to 2 when some class has two or more members.
         """
-        if self._component_count != 1:
+        twins = self._twins
+        if twins.components != 1:
             return INFINITE
-        quotient, sizes = self._quotient[:2]
-        best = _diameter(quotient.rows)
-        return max(best, 2) if max(sizes) > 1 else best
+        best = _diameter(twins.rows)
+        return max(best, 2) if max(twins.sizes) > 1 else best
 
     def girth(self) -> int | float:
         """Length of a shortest cycle, INFINITE when the graph is a forest.
@@ -187,7 +180,7 @@ class IndependentGraph:
         Itai & Rodeh (1978), "Finding a minimum circuit in a graph".
         """
         n, rows = self.n, self.rows
-        if self.edge_count() == n - self._component_count:
+        if self.edge_count() == n - self._twins.components:
             return INFINITE
         for u in range(n):
             row = rows[u]
@@ -227,8 +220,7 @@ class IndependentGraph:
 
         Twins are never adjacent, so each can take its class's color.
         """
-        rows = self._quotient[0].rows
-        sides = _layers(rows)[1]
+        rows, sides = self._twins.rows, self._twins.sides
         return not any(rows[v] & side for side in sides for v in _iter_bits(side))
 
     # -- structure -------------------------------------------------------
@@ -240,7 +232,7 @@ class IndependentGraph:
         too, and those classes are the parts whenever the graph is
         complete multipartite.
         """
-        return self._quotient[0].n
+        return len(self._twins.firsts)
 
 
 def _layers(rows: tuple[int, ...]) -> tuple[int, list[int]]:
@@ -331,7 +323,7 @@ def build(n: int, limit: int = DEFAULT_BUILD_LIMIT) -> IndependentGraph:
 def verify_complete_multipartite(graph: IndependentGraph) -> bool:
     """Check adjacency == "different order" for every vertex pair.
 
-    Read from the rows, the orders and the twin classes of `_quotient`.
+    Read from the rows, the orders and the twin record `_twins`.
     Let C be a twin class with first member f and N = full ^ rows[f].
     When no row holds its own vertex, C lies in N; the classes cover the
     n vertices once, so the sizes of the N add up to n exactly when each
@@ -343,7 +335,7 @@ def verify_complete_multipartite(graph: IndependentGraph) -> bool:
     shifts, t complements and two passes over the orders.
     """
     n, rows, orders = graph.n, graph.rows, graph.orders
-    first, firsts = graph._quotient[4:]
+    first, firsts = graph._twins.first, graph._twins.firsts
     full = (1 << n) - 1
     return (
         not any(map(and_, map(rshift, rows, range(n)), repeat(1)))
@@ -418,7 +410,6 @@ def _k_coloring(graph: IndependentGraph, k: int) -> list[int] | None:
     n, rows = graph.n, graph.rows
     colors = [-1] * n
     neighbor_colors = [0] * n
-    degrees = graph.degrees()
 
     def pick() -> int:
         best_v = -1
@@ -426,7 +417,7 @@ def _k_coloring(graph: IndependentGraph, k: int) -> list[int] | None:
         for v in range(n):
             if colors[v] >= 0:
                 continue
-            key = (neighbor_colors[v].bit_count(), degrees[v], -v)
+            key = (neighbor_colors[v].bit_count(), rows[v].bit_count(), -v)
             if key > best_key:
                 best_key = key
                 best_v = v
@@ -471,7 +462,7 @@ def chromatic_number(
     """
     if graph.n > limit:
         raise CapacityError(f"n={graph.n} exceeds the exact search limit {limit}")
-    quotient = graph._quotient[0]
+    quotient = IndependentGraph(len(graph._twins.rows), graph._twins.rows, ())
     if clique_size is None:
         clique_size = len(max_clique(quotient, limit=quotient.n))
     upper = max(greedy_coloring(quotient)) + 1
@@ -558,10 +549,9 @@ def invariants(
     Hamiltonian cycle) is declined: its fields and its tier are None.
     """
     n = graph.n
-    _, sizes, class_degrees, degs = graph._quotient[:4]
     # Twins share their degree, so the profile is counted once per class.
     counts: Counter[int] = Counter()
-    for size, degree in zip(sizes, class_degrees):
+    for size, degree in zip(graph._twins.sizes, graph._twins.degrees):
         counts[degree] += size
     edge_count = graph.edge_count()
     order_classes = sorted(Counter(graph.orders).items())
@@ -588,7 +578,7 @@ def invariants(
         edge_count=edge_count,
         degree_counts=tuple(sorted(counts.items(), reverse=True)),
         order_classes=tuple(order_classes),
-        degree_items=tuple(zip(range(n), graph.orders, degs, repeat(1))),
+        degree_items=tuple(zip(range(n), graph.orders, graph.degrees(), repeat(1))),
         connected=graph.is_connected(),
         complete=edge_count == n * (n - 1) // 2,
         star=is_star_profile(n, counts),

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from indegraph import cli, zn
+from indegraph import cli, oracle, zn
 
 from conftest import SMOOTH_MODULI
 
@@ -166,10 +167,67 @@ def test_export_to_file(tmp_path, capsys):
     assert target.read_text() == (GOLDEN / "indep_6.dot").read_text()
 
 
-def test_export_capacity_exit(capsys):
+def test_export_capacity_exit(capsys, tmp_path):
     code, _, err = run(capsys, "--oracle-limit", "10", "export", "50", "--format", "dot")
     assert code == 1
     assert "capacity" in err
+    target = tmp_path / "g.dot"
+    code, _, err = run(
+        capsys, "--oracle-limit", "10", "export", "50", "--format", "dot", "-o", str(target)
+    )
+    assert code == 1 and "capacity" in err
+    assert not target.exists()
+
+
+# The export renderers as they were when each built its whole text in memory.
+
+
+def whole_text_dot(graph, label_orders=False):
+    lines = [f"graph indep_{graph.n} {{"]
+    for v in range(graph.n):
+        if label_orders:
+            lines.append(f'  {v} [label="{v} o={graph.orders[v]}"];')
+        else:
+            lines.append(f"  {v};")
+    lines.extend(f"  {a} -- {b};" for a, b in graph.edges())
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def whole_text_edgelist(graph):
+    return "".join(f"{a} {b}\n" for a, b in graph.edges())
+
+
+def test_export_bytes_match_the_whole_text_renderers(capsys):
+    for n in range(2, 65):
+        graph = oracle.build(n)
+        edges = [[a, b] for a, b in graph.edges()]
+        expected = {
+            ("json",): json.dumps({"n": n, "edges": edges}) + "\n",
+            ("edgelist",): whole_text_edgelist(graph),
+            ("dot",): whole_text_dot(graph),
+            ("dot", "--label-orders"): whole_text_dot(graph, label_orders=True),
+        }
+        for (fmt, *flags), text in expected.items():
+            code, out, _ = run(capsys, "export", str(n), "--format", fmt, *flags)
+            assert code == 0
+            assert out == text, (n, fmt, flags)
+
+
+@pytest.mark.parametrize("fmt", ["dot", "json", "edgelist"])
+def test_export_memory_stays_flat(tmp_path, capsys, fmt):
+    # n = 500 has 93,749 edges, a 0.7-1.3 MB file, written one edge at a
+    # time; a renderer that builds the whole text peaks at 6.9-13.3 MB.
+    target = tmp_path / f"g.{fmt}"
+    tracemalloc.start()
+    try:
+        code, _, _ = run(capsys, "export", "500", "--format", fmt, "-o", str(target))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert target.stat().st_size > 5 * 10**5
+    assert peak < 10**6, peak
 
 
 def test_hamiltonian_outputs(capsys):

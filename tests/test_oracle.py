@@ -237,6 +237,44 @@ def test_quotient_of_twin_blowups_matches_definitions(graph):
 
 
 @given(twin_blowups())
+def test_twin_record_fields_match_their_definitions(graph):
+    n, rows, twins = graph.n, graph.rows, graph._twins
+    assert twins.first == [min(u for u in range(n) if rows[u] == rows[v]) for v in range(n)]
+    assert twins.firsts == sorted(set(twins.first))
+    assert twins.sizes == tuple(twins.first.count(f) for f in twins.firsts)
+    assert twins.degrees == tuple(rows[f].bit_count() for f in twins.firsts)
+    assert twins.rows == tuple(
+        sum(1 << j for j, g in enumerate(twins.firsts) if rows[f] >> g & 1)
+        for f in twins.firsts
+    )
+    assert twins.components == unreduced_component_count(rows)
+    even, odd = twins.sides
+    assert even & odd == 0
+    assert even | odd == (1 << len(twins.firsts)) - 1
+
+
+def test_one_bfs_of_the_quotient_per_invariants_call(monkeypatch):
+    calls = []
+    layers = oracle._layers
+    monkeypatch.setattr(oracle, "_layers", lambda rows: calls.append(rows) or layers(rows))
+    for n in (2, 12, 30, 97, 360):
+        calls.clear()
+        oracle.invariants(oracle.build(n))
+        assert len(calls) == 1, n
+
+
+@given(twin_blowups())
+def test_k_coloring_reads_degrees_off_its_own_rows(graph):
+    def refuse(self):
+        raise AssertionError("degrees() called")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle.IndependentGraph, "degrees", refuse)
+        colors = oracle._k_coloring(graph, graph.n)
+    assert colors is not None
+
+
+@given(twin_blowups())
 def test_coloring_of_twin_blowups_matches_full_graph_search(graph):
     unreduced = next(
         k for k in range(1, graph.n + 1) if oracle._k_coloring(graph, k) is not None
@@ -409,11 +447,8 @@ def test_quotient_groups_rows_by_value_not_by_object(n):
     for a, b in twins:
         assert shared.rows[a] is shared.rows[b]
         assert apart.rows[a] is not apart.rows[b]
-    quotient, *facts = apart._quotient
-    shared_quotient, *shared_facts = shared._quotient
-    assert quotient.rows == shared_quotient.rows
-    assert facts == shared_facts
-    assert quotient.n == shared.partite_count()
+    assert apart._twins == shared._twins
+    assert len(apart._twins.rows) == shared.partite_count()
 
 
 def test_degree_items_list_every_vertex_in_order():
