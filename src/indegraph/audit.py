@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
@@ -80,23 +80,15 @@ class AuditConfig:
                 raise ValueError(f"{name} must be at least 2")
 
 
-@dataclass(frozen=True)
-class TheoremVerdict:
-    theorem: TheoremId
-    n: int
-    claimed: str
-    observed: str
-    status: Status
-    witness: str | None
-    ground_truth: str
-
-
-@dataclass(frozen=True)
-class TheoremSummary:
-    holds: int
-    fails: int
-    skipped: int
-    first_counterexample: int | None
+# Named tuples, not dataclasses: a sweep over [2, 512] builds 10,220
+# verdicts, and a named tuple builds in under half the time. Fields:
+# theorem (TheoremId), n, claimed, observed, status (Status), witness
+# (str or None), ground_truth (the tier).
+TheoremVerdict = namedtuple(
+    "TheoremVerdict", "theorem n claimed observed status witness ground_truth"
+)
+# Fields: holds, fails, skipped, first_counterexample (an n or None).
+TheoremSummary = namedtuple("TheoremSummary", "holds fails skipped first_counterexample")
 
 
 @dataclass(frozen=True)
@@ -498,8 +490,18 @@ def _summarize(
 def _audit_all(
     ns: range, config: AuditConfig
 ) -> tuple[tuple[TheoremVerdict, ...], ...]:
-    """The verdicts for every n in `ns`, in order: a serial sweep, or one pool task."""
+    """The verdicts for every n in `ns`, in order: a serial sweep."""
     return tuple(tuple(audit_n(n, config)) for n in ns)
+
+
+def _audit_rows(ns: range, config: AuditConfig) -> list[list[tuple]]:
+    """One pool task: the verdicts for every n in `ns`, each as a plain tuple.
+
+    Pickling a named tuple calls its Python-level `__getnewargs__` once
+    per verdict; plain tuples pickle in C, several times as fast. The
+    parent rebuilds the named tuples.
+    """
+    return [list(map(tuple, audit_n(n, config))) for n in ns]
 
 
 def sweep(
@@ -525,8 +527,8 @@ def sweep(
         merged: list = [None] * len(ns)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             strides = [ns[i::k] for i in range(k)]
-            for i, part in enumerate(pool.map(partial(_audit_all, config=cfg), strides)):
-                merged[i::k] = part
+            for i, part in enumerate(pool.map(partial(_audit_rows, config=cfg), strides)):
+                merged[i::k] = [tuple(map(TheoremVerdict._make, rows)) for rows in part]
         results = tuple(merged)
     else:
         results = _audit_all(ns, cfg)

@@ -90,11 +90,19 @@ class IndependentGraph:
         return sum(map(mul, self._twins.sizes, self._twins.degrees)) // 2
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Unordered edges as (a, b) with a < b, lexicographic."""
+        """Unordered edges as (a, b) with a < b, lexicographic.
+
+        Each row's bits above a are read from its binary string, lowest
+        first, so a row costs one conversion and a `find` per edge;
+        `_iter_bits` would copy the whole n-bit row once per edge.
+        """
         for a in range(self.n):
-            high = self.rows[a] >> (a + 1)
-            for offset in _iter_bits(high):
-                yield a, a + 1 + offset
+            first = a + 1
+            bits = bin(self.rows[a] >> first)[:1:-1]
+            i = bits.find("1")
+            while i >= 0:
+                yield a, first + i
+                i = bits.find("1", i + 1)
 
     def _check_vertex(self, a: int) -> None:
         if not 0 <= a < self.n:

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import json
 import os
+import pickle
 import subprocess
 import sys
 from collections import Counter
@@ -19,6 +20,9 @@ from indegraph.audit import (
     AuditConfig,
     Status,
     TheoremId,
+    TheoremSummary,
+    TheoremVerdict,
+    _audit_rows,
     _verdict,
     audit_n,
     ground_truth,
@@ -188,7 +192,12 @@ def test_strided_sweep_merges_back_in_order(in_process_pool):
         for hi, expected in serial.items():
             asked.clear()
             tasks.clear()
-            assert sweep(2, hi, jobs=jobs) == expected, (jobs, hi)
+            report = sweep(2, hi, jobs=jobs)
+            assert report == expected, (jobs, hi)
+            # A plain tuple equals the named tuple with the same fields,
+            # so only the type shows that the strides were rebuilt.
+            assert all(type(v) is TheoremVerdict for verdicts in report.results
+                       for v in verdicts), (jobs, hi)
             if jobs == 1 or hi == 2:
                 assert asked == tasks == []
                 continue
@@ -205,7 +214,7 @@ def test_strided_sweep_merges_back_in_order(in_process_pool):
 COLD_START = """
 import contextlib, io, json, sys
 from indegraph import cli
-from indegraph.audit import audit_n, sweep
+from indegraph.audit import TheoremVerdict, audit_n, sweep
 
 POOL = ("multiprocessing", "concurrent.futures.process")
 audit_n(12)
@@ -215,7 +224,8 @@ with contextlib.redirect_stdout(io.StringIO()):
 before = [m for m in POOL if m in sys.modules]
 parallel = sweep(2, 8, jobs=2)
 after = [m for m in POOL if m in sys.modules]
-print(json.dumps([codes, before, after, parallel == serial]))
+rebuilt = all(type(v) is TheoremVerdict for vs in parallel.results for v in vs)
+print(json.dumps([codes, before, after, parallel == serial, rebuilt]))
 """
 
 
@@ -226,11 +236,47 @@ def test_only_a_parallel_sweep_loads_the_process_pool():
     done = subprocess.run([sys.executable, "-c", COLD_START], env=env,
                           capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
-    codes, before, after, equal = json.loads(done.stdout)
+    codes, before, after, equal, rebuilt = json.loads(done.stdout)
     assert codes == [0, 0]
     assert before == []
     assert after == ["multiprocessing", "concurrent.futures.process"]
     assert equal
+    assert rebuilt
+
+
+VERDICT_FIELDS = ("theorem", "n", "claimed", "observed", "status", "witness", "ground_truth")
+SUMMARY_FIELDS = ("holds", "fails", "skipped", "first_counterexample")
+
+
+def test_pool_tasks_send_back_plain_tuples():
+    config = AuditConfig()
+    rows = _audit_rows(range(2, 40), config)
+    assert [[type(row) for row in per_n] for per_n in rows] == [
+        [tuple] * len(CLAIMS) for _ in range(2, 40)
+    ]
+    for n, per_n in zip(range(2, 40), rows):
+        expected = [tuple(getattr(v, f) for f in VERDICT_FIELDS) for v in audit_n(n, config)]
+        assert per_n == expected, n
+    assert b"TheoremVerdict" not in pickle.dumps(_audit_rows(range(2, 60, 7), config))
+
+
+@pytest.mark.parametrize("record, fields, values", [
+    (TheoremVerdict, VERDICT_FIELDS,
+     (TheoremId.T2_10, 6, "13", "13", Status.MATCH, None, "ORACLE")),
+    (TheoremSummary, SUMMARY_FIELDS, (3, 1, 0, 12)),
+])
+def test_records_build_by_position_and_keyword_and_stay_frozen(record, fields, values):
+    assert record._fields == fields
+    by_position = record(*values)
+    by_keyword = record(**dict(zip(fields, values)))
+    assert by_position == by_keyword
+    assert tuple(by_position) == values
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(by_position, field, None)
+    copy = pickle.loads(pickle.dumps(by_position))
+    assert type(copy) is record
+    assert copy == by_position
 
 
 def test_oracle_tier_never_calls_the_closed_forms(monkeypatch):

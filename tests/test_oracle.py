@@ -236,6 +236,25 @@ def test_quotient_of_twin_blowups_matches_definitions(graph):
     assert_matches_row_references(graph)
 
 
+def edges_bit_by_bit(rows):
+    return [(a, b) for a in range(len(rows)) for b in range(a + 1, len(rows))
+            if rows[a] >> b & 1]
+
+
+@given(st.one_of(random_graphs(), twin_blowups()))
+def test_edges_of_any_rows_match_a_bit_by_bit_scan(graph):
+    assert list(graph.edges()) == edges_bit_by_bit(graph.rows)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 300])
+def test_edges_of_wide_random_rows_match_a_bit_by_bit_scan(n):
+    """Rows wider than a machine word, with edges to the last vertex."""
+    rng = random.Random(n)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
+    graph = graph_of(n, pairs + [(a, n - 1) for a in range(n - 1)])
+    assert list(graph.edges()) == edges_bit_by_bit(graph.rows)
+
+
 @given(twin_blowups())
 def test_twin_record_fields_match_their_definitions(graph):
     n, rows, twins = graph.n, graph.rows, graph._twins
