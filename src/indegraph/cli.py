@@ -86,21 +86,19 @@ def _cmd_info(args: argparse.Namespace, config: AuditConfig) -> int:
     inv = closed_form.invariants(n)
     rows = [(name, getattr(inv, field)) for name, field in _INFO_ROWS]
 
-    checks: dict[str, dict[str, object]] = {}
+    checks: dict[str, tuple[str, object]] = {}  # name -> (status, oracle's value)
     capacity_note = None
-    disagreements = 0
     if args.verify:
         if n <= config.oracle_build_limit:
             ground = oracle_record(n, config)
             for name, field in _INFO_ROWS:
                 truth = getattr(ground, field)
                 if truth is None:
-                    checks[name] = {"status": "skipped", "oracle": None}
+                    checks[name] = ("skipped", None)
                 elif truth == getattr(inv, field):
-                    checks[name] = {"status": "agree", "oracle": _json_value(truth)}
+                    checks[name] = ("agree", truth)
                 else:
-                    checks[name] = {"status": "disagree", "oracle": _json_value(truth)}
-                    disagreements += 1
+                    checks[name] = ("disagree", truth)
         else:
             capacity_note = (
                 f"oracle checks skipped: n exceeds the build limit "
@@ -111,25 +109,27 @@ def _cmd_info(args: argparse.Namespace, config: AuditConfig) -> int:
         payload: dict[str, object] = {"n": n}
         payload.update((name, _json_value(value)) for name, value in rows)
         if args.verify:
-            payload["verify"] = {"note": capacity_note, "checks": checks}
+            shown = {k: {"status": s, "oracle": _json_value(t)} for k, (s, t) in checks.items()}
+            payload["verify"] = {"note": capacity_note, "checks": shown}
         print(json_text(payload))
     else:
         print(f"I_G(Z_{n})")
         for name, value in rows:
             line = f"  {name:<12} {_show(value)}"
             if name in checks:
-                status = checks[name]["status"]
+                status, truth = checks[name]
                 if status == "agree":
                     line += "  [agree]"
                 elif status == "skipped":
                     line += "  [oracle skipped: capacity]"
                 else:
-                    line += f"  [DISAGREE: oracle says {checks[name]['oracle']}]"
+                    line += f"  [DISAGREE: oracle says {_show(truth)}]"
             print(line)
         if capacity_note:
             print(f"  note: {capacity_note}")
 
-    return EXIT_STRICT if disagreements else EXIT_OK
+    disagree = any(status == "disagree" for status, _ in checks.values())
+    return EXIT_STRICT if disagree else EXIT_OK
 
 
 # -- audit / sweep -----------------------------------------------------------

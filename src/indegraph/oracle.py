@@ -1,12 +1,12 @@
 """Brute-force oracle for the independent graph of Z_n.
 
 The graph I_G(Z_n) joins two distinct residues exactly when their
-additive orders differ. It is materialized here as one neighbor bitmask
-per vertex, and every invariant is recomputed from that explicit
-structure by a direct algorithm. None of the solvers below lean on the
-order-class structure of the graph: they remain valid oracles for the
-structural claims they are used to audit, and the pruning rules are
-generic necessary conditions, never graph-family shortcuts.
+additive orders differ. It is held as one neighbor bitmask per vertex,
+a ~ b exactly when `rows[a] >> b & 1`, and every invariant is
+recomputed from those rows by a direct algorithm. No solver below leans
+on the order-class structure of the graph: they remain valid oracles
+for the structural claims they audit, and the pruning rules are generic
+necessary conditions, never graph-family shortcuts.
 
 The degrees, connectivity, diameter, bipartiteness, the part count and
 the chromatic number are read off the false-twin quotient G/≡, which
@@ -63,22 +63,14 @@ _Twins = namedtuple("_Twins", "first firsts sizes degrees rows components sides"
 
 @dataclass(frozen=True)
 class IndependentGraph:
-    """I_G(Z_n) with one neighbor bitmask and one order per vertex."""
+    """I_G(Z_n) as its rows (a ~ b exactly when `rows[a] >> b & 1`), one
+    order per vertex, `edges()` and the invariants the audit reads."""
 
     n: int
     rows: tuple[int, ...]
     orders: tuple[int, ...]
 
     # -- basic queries ---------------------------------------------------
-
-    def has_edge(self, a: int, b: int) -> bool:
-        self._check_vertex(a)
-        self._check_vertex(b)
-        return bool(self.rows[a] >> b & 1)
-
-    def neighbors(self, a: int) -> Iterator[int]:
-        self._check_vertex(a)
-        return _iter_bits(self.rows[a])
 
     def degrees(self) -> tuple[int, ...]:
         twins = self._twins
@@ -103,10 +95,6 @@ class IndependentGraph:
             while i >= 0:
                 yield a, first + i
                 i = bits.find("1", i + 1)
-
-    def _check_vertex(self, a: int) -> None:
-        if not 0 <= a < self.n:
-            raise ValueError(f"vertex {a} out of range [0, {self.n})")
 
     # -- false-twin quotient ---------------------------------------------
 
@@ -175,8 +163,8 @@ class IndependentGraph:
            n - (component count) edges. The components are counted on
            the false-twin quotient.
         2. Triangle test: the girth is 3 exactly when some edge (u, w)
-           has a common neighbor, i.e. rows[u] & rows[w] != 0. At most
-           one row intersection per edge, and it stops at the first hit.
+           of `edges()` has a common neighbor, i.e. rows[u] & rows[w] != 0.
+           At most one row intersection per edge; it stops at the first hit.
         3. Per-source BFS, run only on triangle-free graphs: every
            non-tree edge (u, w) seen from source s closes a walk of
            length dist[u] + dist[w] + 1 through s, which never undercuts
@@ -190,11 +178,8 @@ class IndependentGraph:
         n, rows = self.n, self.rows
         if self.edge_count() == n - self._twins.components:
             return INFINITE
-        for u in range(n):
-            row = rows[u]
-            for w in _iter_bits(row >> (u + 1)):
-                if row & rows[u + 1 + w]:
-                    return 3
+        if any(rows[u] & rows[w] for u, w in self.edges()):
+            return 3
         best: int | float = inf
         for s in range(n):
             dist = [-1] * n

@@ -1,10 +1,11 @@
+import dataclasses
 import json
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from indegraph import cli, oracle, zn
+from indegraph import cli, closed_form, oracle, zn
 
 from conftest import SMOOTH_MODULI
 
@@ -81,6 +82,33 @@ def test_one_primality_test_per_cofactor(capsys, monkeypatch, empty_factorize_ca
     code, _, _ = run(capsys, command[0], str(n), *command[1:])
     assert code == 0
     assert len(tested) == tests, tested
+
+
+def test_info_verify_shows_the_oracles_value_as_the_row_shows_its_own(capsys, monkeypatch):
+    # Doctor the closed forms for the star I_G(Z_5): a bool field, the
+    # degree profile and the girth then disagree with the oracle.
+    invariants = closed_form.invariants
+
+    def doctored(n):
+        return dataclasses.replace(
+            invariants(n), connected=False, degree_counts=((4, 5),), girth=3
+        )
+
+    monkeypatch.setattr(closed_form, "invariants", doctored)
+    code, out, _ = run(capsys, "info", "5", "--verify")
+    assert code == 2
+    assert "  connected    no  [DISAGREE: oracle says yes]\n" in out
+    assert "  degrees      4x5  [DISAGREE: oracle says 4x1 1x4]\n" in out
+    assert "  girth        3  [DISAGREE: oracle says INFINITE]\n" in out
+    assert out.count("DISAGREE") == 3
+
+    code, out, _ = run(capsys, "info", "5", "--verify", "--json")
+    assert code == 2
+    checks = json.loads(out)["verify"]["checks"]
+    assert checks["connected"] == {"status": "disagree", "oracle": True}
+    assert checks["degrees"] == {"status": "disagree", "oracle": [[4, 1], [1, 4]]}
+    assert checks["girth"] == {"status": "disagree", "oracle": "INFINITE"}
+    assert checks["edges"] == {"status": "agree", "oracle": 4}
 
 
 def test_info_json_verify_notes_capacity(capsys):

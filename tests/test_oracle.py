@@ -39,7 +39,7 @@ def test_adjacency_matches_definition(n):
     for a in range(n):
         for b in range(n):
             expected = a != b and orders[a] != orders[b]
-            assert graph.has_edge(a, b) == expected
+            assert graph.rows[a] >> b & 1 == expected
 
 
 def test_edges_sorted_and_complete():
@@ -59,21 +59,6 @@ def test_degrees(n):
         assert degs[a] == naive_degree(a, n)
     # handshake
     assert sum(degs) == 2 * graph.edge_count()
-
-
-def test_neighbors_of_zero():
-    graph = oracle.build(6)
-    # 0 has order 1, everything else has order > 1
-    assert sorted(graph.neighbors(0)) == [1, 2, 3, 4, 5]
-    assert sorted(graph.neighbors(1)) == [0, 2, 3, 4]  # misses its twin 5
-
-
-def test_vertex_range_checked():
-    graph = oracle.build(5)
-    with pytest.raises(ValueError):
-        graph.neighbors(5)
-    with pytest.raises(ValueError):
-        graph.has_edge(-1, 2)
 
 
 def test_connected_always():
@@ -303,6 +288,47 @@ def test_coloring_of_twin_blowups_matches_full_graph_search(graph):
     assert oracle.chromatic_number(graph, clique_size=len(clique)) == unreduced
 
 
+def mycielskian(n, edges):
+    """Mycielski's construction: shadows n..2n-1 of 0..n-1, and an apex 2n."""
+    return (
+        edges
+        + [(a + n, b) for a, b in edges]
+        + [(a, b + n) for a, b in edges]
+        + [(v + n, 2 * n) for v in range(n)]
+    )
+
+
+# Every I_G(Z_n) is complete multipartite, so omega = chi; only hand-made
+# graphs reach the exact k-coloring fallback of chromatic_number().
+@pytest.mark.parametrize("n, edges, girth, omega, chi", [
+    pytest.param(5, cycle(5), 5, 2, 3, id="C5"),
+    pytest.param(7, cycle(7), 7, 2, 3, id="C7"),
+    pytest.param(11, mycielskian(5, cycle(5)), 4, 2, 4, id="grotzsch"),
+])
+def test_exact_searches_where_clique_number_is_below_chromatic_number(
+    monkeypatch, n, edges, girth, omega, chi
+):
+    graph = graph_of(n, edges)
+    assert graph.girth() == naive_girth_of_rows(graph.rows) == girth
+    ladder = next(k for k in range(1, n + 1) if oracle._k_coloring(graph, k) is not None)
+    assert ladder == chi
+    colors = oracle._k_coloring(graph, chi)
+    assert all(colors[a] != colors[b] for a, b in graph.edges())
+
+    clique = oracle.max_clique(graph)
+    assert len(clique) == omega
+    assert all(graph.rows[a] >> b & 1 for a in clique for b in clique if a != b)
+
+    tried = []
+    k_coloring = oracle._k_coloring
+    monkeypatch.setattr(
+        oracle, "_k_coloring", lambda g, k: tried.append(k) or k_coloring(g, k)
+    )
+    assert oracle.chromatic_number(graph) == chi
+    assert oracle.chromatic_number(graph, clique_size=omega) == chi
+    assert tried and min(tried) == omega
+
+
 def test_quotient_matches_full_graph_searches_across_the_family():
     for n in range(2, 1025):
         graph = oracle.build(n)
@@ -494,7 +520,7 @@ def test_clique_number_matches_subset_search(n):
     assert len(clique) == naive_clique_number(n)
     for i, a in enumerate(clique):
         for b in clique[i + 1:]:
-            assert graph.has_edge(a, b)
+            assert graph.rows[a] >> b & 1
 
 
 def test_clique_number_is_divisor_count_up_to_64():
@@ -538,7 +564,7 @@ def test_hamiltonian_cycles_are_valid_and_canonical():
         assert cycle[0] == 0
         assert cycle[1] < cycle[-1]
         for i in range(n):
-            assert graph.has_edge(cycle[i], cycle[(i + 1) % n])
+            assert graph.rows[cycle[i]] >> cycle[(i + 1) % n] & 1
 
 
 def test_hamiltonian_exceptions_up_to_24():
