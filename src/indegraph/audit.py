@@ -67,6 +67,16 @@ class Status(Enum):
     SKIPPED_ORACLE_LIMIT = "SKIPPED_ORACLE_LIMIT"
 
 
+# The renderers read each member's text from `_value_`: `Enum.value` is a
+# Python-level property, and an Enum member hashes in Python, while a
+# plain attribute and a str key cost neither. JSON reads the text already
+# encoded.
+_JSON_TEXT = {
+    member._value_: encode_basestring_ascii(member._value_)
+    for member in (*TheoremId, *Status)
+}
+
+
 @dataclass(frozen=True)
 class AuditConfig:
     oracle_build_limit: int = oracle.DEFAULT_BUILD_LIMIT
@@ -592,8 +602,8 @@ def _render_json(report: SweepReport) -> str:
     entries = [
         _RESULT_JSON % (verdicts[0].n, ",\n        ".join([
             _VERDICT_JSON % (
-                enc(v.theorem.value),
-                enc(v.status.value),
+                _JSON_TEXT[v.theorem._value_],
+                _JSON_TEXT[v.status._value_],
                 enc(v.claimed),
                 enc(v.observed),
                 "null" if v.witness is None else enc(v.witness),
@@ -618,7 +628,9 @@ def _render_csv(report: SweepReport) -> str:
     writer.writerow(["n", "theorem", "status", "claimed", "observed"])
     for verdicts in report.results:
         for v in verdicts:
-            writer.writerow([v.n, v.theorem.value, v.status.value, v.claimed, v.observed])
+            writer.writerow(
+                [v.n, v.theorem._value_, v.status._value_, v.claimed, v.observed]
+            )
     return out.getvalue().rstrip("\n")
 
 

@@ -39,9 +39,9 @@ from collections import Counter, namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from math import inf, isqrt
-from operator import and_, mul, rshift
+from operator import getitem, itemgetter, mul
 
 from indegraph.invariants import INFINITE, ORACLE, InvariantSet, is_star_profile
 from indegraph.zn import CapacityError, check_modulus
@@ -49,6 +49,15 @@ from indegraph.zn import CapacityError, check_modulus
 DEFAULT_BUILD_LIMIT = 20_000
 DEFAULT_EXACT_SEARCH_LIMIT = 64
 DEFAULT_HAMILTONIAN_LIMIT = 24
+
+
+def _pick(values, keys: list[int]) -> tuple:
+    """`values[k]` for each k in keys, in one C-level `itemgetter` call.
+
+    The leading copy of the first key keeps the result a tuple when keys
+    holds one item, where `itemgetter` would return the bare item.
+    """
+    return itemgetter(keys[0], *keys)(values)[1:]
 
 
 def _iter_bits(mask: int) -> Iterator[int]:
@@ -74,8 +83,7 @@ class IndependentGraph:
 
     def degrees(self) -> tuple[int, ...]:
         twins = self._twins
-        degree_of = dict(zip(twins.firsts, twins.degrees))
-        return tuple(map(degree_of.__getitem__, twins.first))
+        return _pick(dict(zip(twins.firsts, twins.degrees)), twins.first)
 
     def edge_count(self) -> int:
         """Half the degree sum, taken once per twin class."""
@@ -112,19 +120,34 @@ class IndependentGraph:
         subgraph of G, and no two of its rows are equal. Twins share
         their degree, so only the first member's row is counted.
 
-        The rows are grouped by value in one C-level pass, one hash per
-        row: `index.setdefault` maps each row to the first vertex that
-        has it. One BFS of the quotient gives its components and sides.
+        The rows are grouped in two steps, so no n-bit row is hashed once
+        per vertex. One C-level pass over `map(id, rows)` maps each vertex
+        to the first vertex holding the same row object. Then each
+        distinct object's value is hashed once, which merges distinct
+        objects holding equal rows: an object always equals itself, and
+        the value merge catches the rest. The quotient rows test the t^2
+        class pairs in C. One BFS of the quotient gives its components
+        and sides.
         """
         rows = self.rows
+        by_id: dict[int, int] = {}
+        object_first = list(map(by_id.setdefault, map(id, rows), range(self.n)))
+        # Objects are met in vertex order, so `index` keeps the smallest
+        # vertex of each value and lists the classes by first member.
         index: dict[int, int] = {}
-        first = list(map(index.setdefault, rows, range(self.n)))
+        merged = {f: index.setdefault(rows[f], f) for f in by_id.values()}
+        # With no value held by two objects, each object's first vertex
+        # is already its class's.
+        first = object_first
+        if len(index) < len(merged):
+            first = list(map(merged.__getitem__, object_first))
         firsts = list(index.values())
         # Counter keeps first-seen order, which is the order of `firsts`.
         sizes = tuple(Counter(first).values())
-        bits = [1 << v for v in firsts]
+        member_bits = [1 << v for v in firsts]
+        class_bits = [1 << j for j in range(len(firsts))]
         quotient_rows = tuple(
-            sum(1 << j for j, bit in enumerate(bits) if rows[v] & bit) for v in firsts
+            sum(compress(class_bits, map(rows[v].__and__, member_bits))) for v in firsts
         )
         components, sides = _layers(quotient_rows)
         # One more component for each extra member of a class with no edge.
@@ -324,16 +347,24 @@ def verify_complete_multipartite(graph: IndependentGraph) -> bool:
     Then every row is the complement of its own twin class, and the twin
     classes are the order classes exactly when every vertex has its
     first member's order and the first members' orders are distinct.
-    That is "every row equals full ^ (its order class)", checked with n
-    shifts, t complements and two passes over the orders.
+    That is "every row equals full ^ (its order class)".
+
+    Twins share their row, so "no row holds its own vertex" is read off
+    one bit string per twin class: the class row, lowest bit first and
+    padded to n characters, read at each member by C-level maps. The t
+    strings take t * n bytes. The rest is t complements, one C-level
+    gather of the first members' orders and a set of t orders; no n-bit
+    row is shifted per vertex.
     """
     n, rows, orders = graph.n, graph.rows, graph.orders
     first, firsts = graph._twins.first, graph._twins.firsts
     full = (1 << n) - 1
+    bits_of = {f: format(rows[f], f"0{n}b")[::-1] for f in firsts}
+    diagonal = "".join(map(getitem, _pick(bits_of, first), range(n)))
     return (
-        not any(map(and_, map(rshift, rows, range(n)), repeat(1)))
+        "1" not in diagonal
         and sum((full ^ rows[f]).bit_count() for f in firsts) == n
-        and tuple(map(orders.__getitem__, first)) == tuple(orders)
+        and _pick(orders, first) == tuple(orders)
         and len(set(map(orders.__getitem__, firsts))) == len(firsts)
     )
 

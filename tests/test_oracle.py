@@ -496,6 +496,89 @@ def test_quotient_groups_rows_by_value_not_by_object(n):
     assert len(apart._twins.rows) == shared.partite_count()
 
 
+@st.composite
+def complete_multipartite_graphs(draw):
+    """Complete multipartite rows on random labels, which serve as the
+    orders, with at most one change: one row with a bit flipped, its own
+    vertex set or a bit at or above n set, or every row made the
+    complement of a part of permuted labels. The last keeps the twin
+    classes, their orders and the non-neighborhood sizes, so only the
+    diagonal shows it."""
+    labels = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=12))
+    n = len(labels)
+    change = draw(st.sampled_from(["none", "flip", "own", "above", "parts"]))
+    parts = draw(st.permutations(labels)) if change == "parts" else labels
+    rows = [
+        sum(1 << b for b in range(n) if labels[a] != parts[b]) for a in range(n)
+    ]
+    a = draw(st.integers(min_value=0, max_value=n - 1))
+    if change == "flip":
+        rows[a] ^= 1 << draw(st.integers(min_value=0, max_value=n - 1))
+    elif change == "own":
+        rows[a] |= 1 << a
+    elif change == "above":
+        rows[a] |= 1 << draw(st.integers(min_value=n, max_value=n + 70))
+    return oracle.IndependentGraph(n, tuple(rows), tuple(labels))
+
+
+@st.composite
+def rows_in_mixed_objects(draw):
+    """A graph whose rows are redrawn as objects: each row is kept, made
+    a fresh object by `int(str(row))`, or replaced by the first object of
+    equal value drawn as shared. Graphs without orders get random ones,
+    or their twin classes as orders."""
+    graph = draw(st.one_of(random_graphs(), twin_blowups(), complete_multipartite_graphs()))
+    shared: dict[int, int] = {}
+    rows = []
+    for row in graph.rows:
+        how = draw(st.sampled_from(["kept", "fresh", "shared"]))
+        if how == "fresh":
+            row = int(str(row))
+        elif how == "shared":
+            row = shared.setdefault(row, row)
+        rows.append(row)
+    orders = graph.orders
+    if not orders:
+        index: dict[int, int] = {}
+        by_class = tuple(index.setdefault(row, v) for v, row in enumerate(rows))
+        orders = draw(st.one_of(
+            st.just(by_class),
+            st.lists(st.integers(min_value=0, max_value=2), min_size=graph.n,
+                     max_size=graph.n).map(tuple),
+        ))
+    return oracle.IndependentGraph(graph.n, tuple(rows), orders)
+
+
+def per_vertex_multipartite(rows, orders):
+    """Adjacency == "different order" bit by bit, and no bit at or above n."""
+    n = len(rows)
+    return all(
+        (rows[a] >> b & 1) == (a != b and orders[a] != orders[b])
+        for a in range(n)
+        for b in range(n)
+    ) and all(row >> n == 0 for row in rows)
+
+
+@given(rows_in_mixed_objects())
+def test_twins_and_verify_of_rows_in_mixed_objects_match_value_references(graph):
+    rows = graph.rows
+    index: dict[int, int] = {}
+    first = [index.setdefault(row, v) for v, row in enumerate(rows)]
+    twins = graph._twins
+    assert twins.first == first
+    assert twins.firsts == list(index.values())
+    assert twins.sizes == tuple(first.count(f) for f in index.values())
+    assert graph.degrees() == tuple(row.bit_count() for row in rows)
+    assert oracle.verify_complete_multipartite(graph) == per_vertex_multipartite(
+        rows, graph.orders
+    )
+
+
+def test_verify_multipartite_of_one_vertex():
+    assert oracle.verify_complete_multipartite(oracle.IndependentGraph(1, (0,), (1,)))
+    assert not oracle.verify_complete_multipartite(oracle.IndependentGraph(1, (1,), (1,)))
+
+
 def test_degree_items_list_every_vertex_in_order():
     for n in range(2, 301):
         graph = oracle.build(n)
