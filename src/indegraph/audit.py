@@ -334,8 +334,9 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
                     first_bad = ((n // order) % n, order, n - size, claim)
     else:
         # The oracle tier evaluates the claim once per vertex; the
-        # benchmark's tests pin that call count. The kind is looked up
-        # once per distinct order.
+        # benchmark's tests pin that call count. The phi(n) inside each
+        # call is a hit on zn.euler_phi's cache, and the kind is looked
+        # up once per distinct order.
         kinds = {order: zn.order_kind(order, n) for order in set(map(itemgetter(1), items))}
         for vertex, order, deg, size in items:
             claim = claims.degree_claim(kinds[order], n)

@@ -9,15 +9,17 @@ residues itself, and the closed forms need only the divisors.
 
 factorize is the one place that factors n and the one place that
 checks n >= 1; primality, phi and the divisors are read off its cached
-result. Trial division by the primes below TRIAL_LIMIT settles every n
-below TRIAL_LIMIT**2 and strips the small factors of any other n. What
-is left is tested with deterministic Miller-Rabin over the thirteen
-prime bases 2..41, which is exact below MILLER_RABIN_LIMIT (about
-3.3 * 10**24), and split with Pollard-Brent rho under a budget of
-RHO_BUDGET steps per factorization. A cofactor at or above
-MILLER_RABIN_LIMIT, or a split that overruns the budget, raises
-CapacityError: no verdict here is ever probabilistic, and no input runs
-for longer than the budget allows.
+result. phi(n) is itself cached beside it, one entry per n, so the
+claims that ask it once per vertex get a cache hit rather than a walk
+over the factors. Trial division by the primes below TRIAL_LIMIT
+settles every n below TRIAL_LIMIT**2 and strips the small factors of
+any other n. What is left is tested with deterministic Miller-Rabin
+over the thirteen prime bases 2..41, which is exact below
+MILLER_RABIN_LIMIT (about 3.3 * 10**24), and split with Pollard-Brent
+rho under a budget of RHO_BUDGET steps per factorization. A cofactor
+at or above MILLER_RABIN_LIMIT, or a split that overruns the budget,
+raises CapacityError: no verdict here is ever probabilistic, and no
+input runs for longer than the budget allows.
 """
 
 from __future__ import annotations
@@ -179,8 +181,13 @@ def factorize(n: int) -> Mapping[int, int]:
     return MappingProxyType(factors)
 
 
+@lru_cache(maxsize=None)
 def euler_phi(n: int) -> int:
-    """Count of residues in [1, n] coprime to n."""
+    """Count of residues in [1, n] coprime to n.
+
+    Cached, one int per n. An n that factorize refuses is not cached,
+    so it raises again on every call.
+    """
     result = n
     for p in factorize(n):
         result = result // p * (p - 1)

@@ -28,13 +28,7 @@ from indegraph.invariants import CLOSED_FORM, InvariantSet, is_star_profile
 
 
 def naive_phi(n: int) -> int:
-    count = 0
-    for a in range(1, n + 1):
-        x, y = a, n
-        while y:
-            x, y = y, x % y
-        count += x == 1
-    return count
+    return sum(gcd(a, n) == 1 for a in range(1, n + 1))
 
 
 def naive_factorize(n: int) -> dict[int, int]:
@@ -237,6 +231,44 @@ def naive_bipartite_of_rows(rows: tuple[int, ...]) -> bool:
     )
 
 
+def naive_clique_number_of_rows(rows: tuple[int, ...]) -> int:
+    """Largest vertex subset whose pairs are all adjacent. Exponential; n <= 12."""
+    adj = _rows_adjacency(rows)
+    return next(
+        size
+        for size in range(len(adj), -1, -1)
+        for combo in itertools.combinations(range(len(adj)), size)
+        if all(adj[a][b] for a, b in itertools.combinations(combo, 2))
+    )
+
+
+def naive_chromatic_number_of_rows(rows: tuple[int, ...]) -> int:
+    """Fewest colors k that sequential backtracking can place, trying k = 1, 2, ...
+
+    Vertices are colored 0, 1, ... in order, each with the lowest color
+    no earlier neighbor holds, backing up when none is left.
+    """
+    adj = _rows_adjacency(rows)
+    n = len(adj)
+
+    def colorable(k: int) -> bool:
+        colors = [0] * n
+
+        def place(v: int) -> bool:
+            if v == n:
+                return True
+            for c in range(k):
+                if all(colors[w] != c for w in range(v) if adj[v][w]):
+                    colors[v] = c
+                    if place(v + 1):
+                        return True
+            return False
+
+        return place(0)
+
+    return next(k for k in range(n + 1) if colorable(k))
+
+
 # -- the oracle's full-graph algorithms, before the false-twin quotient -------
 #
 # The oracle reads connectivity, diameter and bipartiteness off the
@@ -411,12 +443,18 @@ def one_sort_divisor_phis(n: int) -> list[tuple[int, int]]:
     return table
 
 
+def clear_zn_caches():
+    """Empty the factorize and euler_phi caches, as a fresh process finds them."""
+    zn.factorize.cache_clear()
+    zn.euler_phi.cache_clear()
+
+
 @pytest.fixture
-def empty_factorize_cache():
-    """Start and end with an empty cache: the references fill it per divisor."""
-    zn.factorize.cache_clear()
+def empty_zn_caches():
+    """Start and end with empty caches: the references fill them per divisor."""
+    clear_zn_caches()
     yield
-    zn.factorize.cache_clear()
+    clear_zn_caches()
 
 
 def per_divisor_invariants(n: int) -> InvariantSet:

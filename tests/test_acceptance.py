@@ -15,7 +15,7 @@ import pytest
 from indegraph import closed_form, oracle, zn
 from indegraph.audit import Status, TheoremId, audit_n, sweep
 
-from conftest import naive_orders
+from conftest import clear_zn_caches, naive_orders
 
 GOLDEN = Path(__file__).parent / "golden"
 JOBS = min(8, os.cpu_count() or 1)
@@ -184,7 +184,7 @@ def test_criterion_10_number_theory_cannot_hang():
     closed_form.invariants(2)  # warm imports off the clock
     times = []
     for n in cases:
-        zn.factorize.cache_clear()
+        clear_zn_caches()
         start = time.perf_counter()
         closed_form.invariants(n)
         times.append(time.perf_counter() - start)
@@ -203,7 +203,7 @@ def test_criterion_10_number_theory_cannot_hang():
 def test_criterion_11_smooth_closed_forms_from_one_factorization():
     n = 897_612_484_786_617_600  # 103,680 divisors
     closed_form.invariants(2)  # warm imports off the clock
-    zn.factorize.cache_clear()
+    clear_zn_caches()
     start = time.perf_counter()
     closed_form.invariants(n)
     elapsed = time.perf_counter() - start

@@ -381,7 +381,7 @@ SMALL_UNDER_LIMITS_OF_2 = (2, 3, 4, 6, 8, 9, 12)
     [pytest.param(n, None, id=str(n)) for n in SMOOTH_MODULI + UNSMOOTH_BEYOND_BUILD_LIMIT]
     + [pytest.param(n, LIMITS_OF_2, id=f"limits-2-{n}") for n in SMALL_UNDER_LIMITS_OF_2],
 )
-@pytest.mark.usefixtures("empty_factorize_cache")
+@pytest.mark.usefixtures("empty_zn_caches")
 def test_closed_form_audit_matches_per_divisor_reference(n, config, monkeypatch):
     if n == 2:
         # Limits of 2 still leave n = 2 to the oracle; make the closed

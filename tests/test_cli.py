@@ -66,7 +66,7 @@ def test_info_json_is_json_dumps_indented(capsys):
     pytest.param(100_003 * 100_019, 3, id="semiprime"),
 ])
 @pytest.mark.parametrize("command", [("info", "--json"), ("audit",)], ids=["info", "audit"])
-def test_one_primality_test_per_cofactor(capsys, monkeypatch, empty_factorize_cache,
+def test_one_primality_test_per_cofactor(capsys, monkeypatch, empty_zn_caches,
                                          n, tests, command):
     # factorize tests each cofactor once; is_prime and everything else
     # reads its cached result. A semiprime takes three tests: itself and

@@ -129,7 +129,7 @@ def test_invariants_consistent(n):
 
 
 @pytest.mark.parametrize("n", SMOOTH_MODULI)
-@pytest.mark.usefixtures("empty_factorize_cache")
+@pytest.mark.usefixtures("empty_zn_caches")
 def test_invariants_match_per_divisor_formulas(n):
     inv = closed_form.invariants(n)
     assert inv == per_divisor_invariants(n)

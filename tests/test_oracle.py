@@ -12,7 +12,9 @@ from conftest import (
     naive_bipartite,
     naive_bipartite_of_rows,
     naive_chromatic_number,
+    naive_chromatic_number_of_rows,
     naive_clique_number,
+    naive_clique_number_of_rows,
     naive_component_count_of_rows,
     naive_degree,
     naive_diameter,
@@ -303,7 +305,9 @@ def mycielskian(n, edges):
 @pytest.mark.parametrize("n, edges, girth, omega, chi", [
     pytest.param(5, cycle(5), 5, 2, 3, id="C5"),
     pytest.param(7, cycle(7), 7, 2, 3, id="C7"),
+    pytest.param(10, PETERSEN, 5, 2, 3, id="petersen"),
     pytest.param(11, mycielskian(5, cycle(5)), 4, 2, 4, id="grotzsch"),
+    pytest.param(23, mycielskian(11, mycielskian(5, cycle(5))), 4, 2, 5, id="mycielski-23"),
 ])
 def test_exact_searches_where_clique_number_is_below_chromatic_number(
     monkeypatch, n, edges, girth, omega, chi
@@ -327,6 +331,14 @@ def test_exact_searches_where_clique_number_is_below_chromatic_number(
     assert oracle.chromatic_number(graph) == chi
     assert oracle.chromatic_number(graph, clique_size=omega) == chi
     assert tried and min(tried) == omega
+
+
+@given(random_graphs())
+def test_exact_searches_of_random_graphs_match_brute_force(graph):
+    clique = oracle.max_clique(graph)
+    assert all(graph.rows[a] >> b & 1 for a in clique for b in clique if a != b)
+    assert len(clique) == naive_clique_number_of_rows(graph.rows)
+    assert oracle.chromatic_number(graph) == naive_chromatic_number_of_rows(graph.rows)
 
 
 def test_quotient_matches_full_graph_searches_across_the_family():

@@ -9,6 +9,7 @@ from indegraph import oracle, zn
 from conftest import (
     SMOOTH_MODULI,
     classify_residue,
+    clear_zn_caches,
     naive_factorize,
     naive_order,
     naive_orders,
@@ -62,7 +63,7 @@ def test_is_prime_matches_sieve_below_100000():
     try:
         assert [n for n in range(100_000) if zn.is_prime(n)] == sorted(primes)
     finally:
-        zn.factorize.cache_clear()
+        clear_zn_caches()
 
 
 def test_factorize_matches_trial_division_to_200000():
@@ -70,7 +71,7 @@ def test_factorize_matches_trial_division_to_200000():
         for n in range(1, 200_001):
             assert zn.factorize(n) == naive_factorize(n), n
     finally:
-        zn.factorize.cache_clear()
+        clear_zn_caches()
 
 
 @st.composite
@@ -93,7 +94,7 @@ def known_factorizations(draw):
 @given(known_factorizations())
 def test_factorize_products_of_known_primes(case):
     n, factors = case
-    zn.factorize.cache_clear()
+    clear_zn_caches()
     assert zn.factorize(n) == dict(sorted(factors.items()))
     assert zn.is_prime(n) == (list(factors.values()) == [1])
 
@@ -114,21 +115,21 @@ def test_factorize_products_of_known_primes(case):
     pytest.param(2**100 * 3, {2: 100, 3: 1}, id="smooth-above-the-limit"),
 ])
 def test_factorize_hard_cases(n, factors):
-    zn.factorize.cache_clear()
+    clear_zn_caches()
     assert zn.factorize(n) == factors
     assert zn.is_prime(n) == (list(factors.values()) == [1])
 
 
 def test_factorize_keys_ascend():
     n = 999_999_999_989 * 2**3 * 1_000_003 * 97**2 * 65537
-    zn.factorize.cache_clear()
+    clear_zn_caches()
     keys = list(zn.factorize(n))
     assert keys == sorted(keys) == [2, 97, 65537, 1_000_003, 999_999_999_989]
 
 
 def test_factorize_result_is_read_only():
     # The cache hands every caller the same mapping; a write must not stick.
-    zn.factorize.cache_clear()
+    clear_zn_caches()
     with pytest.raises(TypeError):
         zn.factorize(12)[2] = 5
     assert zn.divisor_count(12) == 6
@@ -142,7 +143,7 @@ def test_factorize_result_is_read_only():
 ])
 def test_cofactor_at_or_above_the_miller_rabin_limit_is_refused(n, cofactor):
     assert cofactor >= zn.MILLER_RABIN_LIMIT
-    zn.factorize.cache_clear()
+    clear_zn_caches()
     with pytest.raises(zn.CapacityError):
         zn.factorize(n)
     with pytest.raises(zn.CapacityError):
@@ -279,13 +280,13 @@ def test_divisor_phis_match_phi_of_each_divisor_to_5000():
 @given(known_factorizations())
 def test_divisor_phis_on_products_of_known_primes(case):
     n, _ = case
-    zn.factorize.cache_clear()
+    clear_zn_caches()
     try:
         divs = zn.divisors(n)
         assert zn.divisor_phis(n) == [(d, zn.euler_phi(d)) for d in divs]
         assert zn.divisor_count(n) == len(divs)
     finally:
-        zn.factorize.cache_clear()
+        clear_zn_caches()
 
 
 def _seeded_smooth_moduli(count: int, seed: int) -> list[int]:
@@ -337,11 +338,44 @@ def test_divisor_phis_edges():
                 fn(bad)
     for not_prime in (-6, 0, 1):
         assert zn.is_prime(not_prime) is False
-    zn.factorize.cache_clear()
+    clear_zn_caches()
     with pytest.raises(zn.CapacityError):
         zn.divisor_phis(MERSENNE_89)
     with pytest.raises(zn.CapacityError):
         zn.divisor_count(MERSENNE_89)
+
+
+def test_phi_memo_matches_the_gcd_count_cold_and_warm():
+    expected = [naive_phi(n) for n in range(1, 5001)]
+    clear_zn_caches()
+    try:
+        assert [zn.euler_phi(n) for n in range(1, 5001)] == expected
+        assert zn.euler_phi.cache_info().misses == 5000
+        assert [zn.euler_phi(n) for n in range(1, 5001)] == expected
+        assert zn.euler_phi.cache_info().hits == 5000
+    finally:
+        clear_zn_caches()
+
+
+def test_phi_memo_caches_no_error():
+    clear_zn_caches()
+    zn.euler_phi(12)
+    for _ in range(2):
+        for bad in (0, -6):
+            with pytest.raises(ValueError):
+                zn.euler_phi(bad)
+        with pytest.raises(zn.CapacityError):
+            zn.euler_phi(2 * MERSENNE_89)
+    assert zn.euler_phi.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("n", [12, 97, 360, 1680])
+def test_audit_asks_phi_of_n_alone(n):
+    # Every claim and every per-vertex degree claim reads phi(n) from
+    # the one cache entry.
+    clear_zn_caches()
+    indegraph.audit_n(n)
+    assert zn.euler_phi.cache_info().misses == 1
 
 
 def test_phi_large_prime():
