@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 from collections import Counter, namedtuple
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, replace
@@ -31,7 +32,6 @@ from indegraph.invariants import (
     CLOSED_FORM,
     ORACLE,
     InvariantSet,
-    json_text,
     length_str,
     profile_str,
 )
@@ -146,16 +146,13 @@ def ground_truth(n: int, config: AuditConfig) -> InvariantSet:
     if n > config.oracle_build_limit:
         return closed_form.invariants(n)
     truth = oracle_record(n, config)
+    fill: dict[str, object] = {}
     if truth.exact_tier is None:
         parts = closed_form.clique_chromatic_number(n)
-        truth = replace(
-            truth, exact_tier=CLOSED_FORM, clique_number=parts, chromatic_number=parts
-        )
+        fill.update(exact_tier=CLOSED_FORM, clique_number=parts, chromatic_number=parts)
     if truth.hamiltonian_tier is None:
-        truth = replace(
-            truth, hamiltonian_tier=CLOSED_FORM, hamiltonian=closed_form.is_hamiltonian(n)
-        )
-    return truth
+        fill.update(hamiltonian_tier=CLOSED_FORM, hamiltonian=closed_form.is_hamiltonian(n))
+    return replace(truth, **fill) if fill else truth
 
 
 # -- the claims ------------------------------------------------------------
@@ -581,10 +578,10 @@ _RESULT_JSON = """{
 def _render_json(report: SweepReport) -> str:
     """The report as json.dumps(indent=2) writes it.
 
-    `json_text` writes the range, config and summary; each verdict is
+    `json.dumps` writes the range, config and summary; each verdict is
     written straight into text, one by one.
     """
-    text = json_text({
+    text = json.dumps({
         "range": [report.lo, report.hi],
         "config": asdict(report.config),
         "results": [],
@@ -596,7 +593,7 @@ def _render_json(report: SweepReport) -> str:
             }
             for theorem, s in report.summary.items()
         },
-    })
+    }, indent=2)
     if not report.results:
         return text
     enc = encode_basestring_ascii

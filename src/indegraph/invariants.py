@@ -1,6 +1,6 @@
 """The one record of facts about I_G(Z_n), its tiers, the infinite-length
-sentinel, and the indented JSON writer that `info --json` and the JSON
-report share."""
+sentinel, and `json_text`, the `json.dumps(indent=2)` of `info --json`
+that hands its degree tables to the C encoder."""
 
 from __future__ import annotations
 
@@ -43,49 +43,31 @@ def is_star_profile(n: int, counts: Mapping[int, int] | Sequence[tuple[int, int]
     return len(counts) == len(star) and dict(counts) == star
 
 
-def json_text(value: object) -> str:
-    """The bytes of `json.dumps(value, indent=2)`, built by joining strings.
+def json_text(payload: object) -> str:
+    """`json.dumps(payload, indent=2, allow_nan=False)`, with its int tables from C.
 
     With `indent` set, CPython leaves its C encoder for a Python
-    generator that yields one chunk per token; here each container joins
-    the text of its members instead. A list of non-empty lists of plain
-    ints (the degree pairs and order classes of `info --json`) goes
-    through the C encoder in compact form and is re-indented by string
-    replacement; every other shape is written member by member. Takes
-    str, int, bool and None, and lists and str-keyed dicts of them;
-    anything else (floats, other keys, other objects) raises TypeError.
+    generator that yields one chunk per token, which for the thousands
+    of degree pairs of a smooth n costs several times the rest of
+    `info --json`. So each top-level value of a dict payload that is a
+    list of non-empty lists of plain ints is handed to `json.dumps` as
+    null, and its slot, a newline, two spaces, the key and ": null", is
+    then filled by `_int_table_text`. A JSON string never holds a raw
+    newline, so that text starts a top-level key and nothing else.
     """
-    return _json_text(value, "\n")
-
-
-def _json_text(value: object, indent: str) -> str:
-    """`value` as JSON; `indent` is the newline and indentation of its own level."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = indent + "  "
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        if _is_int_table(value):
-            return _int_table_text(value, indent)
-        items = [_json_text(item, inner) for item in value]
-        return "[" + inner + ("," + inner).join(items) + indent + "]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            _json_key(key) + ": " + _json_text(item, inner) for key, item in value.items()
-        ]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    raise TypeError(f"json_text cannot write {type(value).__name__}")
+    tables = {}
+    if isinstance(payload, dict):
+        tables = {
+            key: value
+            for key, value in payload.items()
+            if isinstance(key, str) and isinstance(value, list) and _is_int_table(value)
+        }
+        payload = {**payload, **dict.fromkeys(tables)}
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    for key, table in tables.items():
+        slot = "\n  " + encode_basestring_ascii(key) + ": "
+        text = text.replace(slot + "null", slot + _int_table_text(table, "\n  "), 1)
+    return text
 
 
 def _is_int_table(value: list) -> bool:
@@ -98,7 +80,7 @@ def _is_int_table(value: list) -> bool:
 
 
 def _int_table_text(value: list[list[int]], indent: str) -> str:
-    """`_json_text` of an int table: the C encoder's compact text, re-indented.
+    """`json.dumps(value, indent=2)` at the level of `indent`, from the C encoder.
 
     The compact text holds digits, minus signs, brackets and commas only,
     so "],[" separates two rows and every other comma two ints of a row.
@@ -112,12 +94,6 @@ def _int_table_text(value: list[list[int]], indent: str) -> str:
         .replace(";", inner + "]," + inner + "[" + cell)
     )
     return "[" + inner + "[" + cell + body + inner + "]" + indent + "]"
-
-
-def _json_key(key: object) -> str:
-    if not isinstance(key, str):
-        raise TypeError(f"json_text needs str keys, got {type(key).__name__}")
-    return encode_basestring_ascii(key)
 
 
 @dataclass(frozen=True)

@@ -168,13 +168,15 @@ class IndependentGraph:
         Read off the false-twin quotient: a path between classes lifts
         to one between any of their members, and two twins of a
         connected graph with n >= 2 share a neighbor but no edge, so
-        they sit at distance 2. The diameter is the quotient's, raised
-        to 2 when some class has two or more members.
+        they sit at distance 2. The diameter is the quotient's, one less
+        than the most BFS layers from any class, raised to 2 when some
+        class has two or more members.
         """
         twins = self._twins
         if twins.components != 1:
             return INFINITE
-        best = _diameter(twins.rows)
+        rows = twins.rows
+        best = max(len(_bfs(rows, s)) for s in range(len(rows))) - 1
         return max(best, 2) if max(twins.sizes) > 1 else best
 
     def girth(self) -> int | float:
@@ -251,6 +253,20 @@ class IndependentGraph:
         return len(self._twins.firsts)
 
 
+def _bfs(rows: tuple[int, ...], source: int) -> list[int]:
+    """The masks of the vertices at depth 0, 1, 2, ... of a BFS from `source`."""
+    seen = frontier = 1 << source
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        for v in _iter_bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return layers
+
+
 def _layers(rows: tuple[int, ...]) -> tuple[int, list[int]]:
     """BFS from the lowest unseen vertex until every vertex is seen.
 
@@ -263,42 +279,12 @@ def _layers(rows: tuple[int, ...]) -> tuple[int, list[int]]:
     sides = [0, 0]
     while seen != full:
         rest = full & ~seen
-        frontier = rest & -rest
-        parity = 0
-        while frontier:
-            sides[parity] |= frontier
-            seen |= frontier
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~seen
-            parity ^= 1
+        layers = _bfs(rows, (rest & -rest).bit_length() - 1)
+        sides[0] |= sum(layers[::2])
+        sides[1] |= sum(layers[1::2])
+        seen = sides[0] | sides[1]
         count += 1
     return count, sides
-
-
-def _diameter(rows: tuple[int, ...]) -> int | float:
-    """Largest shortest-path distance by a bitset BFS per source.
-
-    INFINITE at the first source that cannot reach every vertex.
-    """
-    full = (1 << len(rows)) - 1
-    best = 0
-    for s in range(len(rows)):
-        visited = 1 << s
-        frontier = visited
-        ecc = 0
-        while visited != full:
-            nxt = 0
-            for v in _iter_bits(frontier):
-                nxt |= rows[v]
-            frontier = nxt & ~visited
-            if not frontier:
-                return INFINITE
-            visited |= frontier
-            ecc += 1
-        best = max(best, ecc)
-    return best
 
 
 def build(n: int, limit: int = DEFAULT_BUILD_LIMIT) -> IndependentGraph:

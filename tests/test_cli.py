@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from indegraph import cli, closed_form, oracle, zn
+from indegraph import cli, closed_form, invariants, oracle, zn
 
 from conftest import SMOOTH_MODULI
 
@@ -58,6 +58,19 @@ def test_info_json_is_json_dumps_indented(capsys):
         code, out, _ = run(capsys, "info", str(n), "--json")
         assert code == 0
         assert out == json.dumps(json.loads(out), indent=2) + "\n", n
+
+
+def test_info_json_sends_its_degree_table_to_the_c_encoder_once(capsys, monkeypatch):
+    calls = []
+    table_text = invariants._int_table_text
+    monkeypatch.setattr(
+        invariants, "_int_table_text",
+        lambda value, indent: calls.append(len(value)) or table_text(value, indent),
+    )
+    code, out, _ = run(capsys, "info", "530755139915304876", "--json")
+    assert code == 0
+    assert calls == [len(json.loads(out)["degrees"])] == [2210]
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 @pytest.mark.parametrize("n, tests", [

@@ -1,5 +1,5 @@
-"""The indented JSON writer against `json.dumps(..., indent=2)`, and the
-star-profile test."""
+"""`json_text` against `json.dumps(..., indent=2)`, and the star-profile
+test."""
 
 import enum
 import json
@@ -35,9 +35,16 @@ def test_matches_json_dumps(value):
 
 
 # Lists of lists of plain ints, the shape json_text hands to the C
-# encoder, empty outer and inner lists included.
+# encoder as a top-level value of a dict, empty outer and inner lists
+# included.
 int_tables = st.lists(st.lists(st.integers(min_value=-(2**70), max_value=2**70)))
-odd_members = st.booleans() | st.sampled_from(list(Level)) | st.text(max_size=4) | st.none()
+odd_members = (
+    st.booleans()
+    | st.sampled_from(list(Level))
+    | st.text(max_size=4)
+    | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+)
 
 
 @given(int_tables)
@@ -59,13 +66,8 @@ def _insert(table, member, at, inside):
 @given(int_tables, odd_members, st.integers(min_value=0), st.booleans())
 def test_int_tables_with_one_odd_member_match_json_dumps(table, odd, at, inside):
     value = _insert(table, odd, at, inside)
-    assert json_text(value) == json.dumps(value, indent=2)
-
-
-@given(int_tables, st.integers(min_value=0), st.booleans())
-def test_int_tables_with_a_float_are_rejected(table, at, inside):
-    with pytest.raises(TypeError):
-        json_text(_insert(table, 0.5, at, inside))
+    for payload in (value, {"pairs": value}):
+        assert json_text(payload) == json.dumps(payload, indent=2)
 
 
 @pytest.mark.parametrize(
@@ -103,15 +105,45 @@ def test_matches_json_dumps_on_edge_cases(value):
     assert json_text(value) == json.dumps(value, indent=2)
 
 
+def _outcome(encode, value):
+    """The text `encode` writes for `value`, or the type of error it raises."""
+    try:
+        return encode(value)
+    except (TypeError, ValueError) as error:
+        return type(error)
+
+
+def _dumps(value):
+    return json.dumps(value, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("inf"),
+        -float("inf"),
+        float("nan"),
+        {"girth": float("inf")},
+        {"degrees": [[4, 1], [1, 4]], "diameter": float("inf")},
+        [[1, 2], [3, float("nan")]],
+        {"degrees": [[4, 1], [1, float("inf")]]},
+    ],
+)
+def test_infinities_and_nan_raise_value_error(value):
+    with pytest.raises(ValueError):
+        json_text(value)
+
+
 @pytest.mark.parametrize(
     "value",
     [
         1.0,
-        float("inf"),
         [1, 2.5],
-        {"girth": float("inf")},
+        {"degrees": [[4, 1], [1, 0.5]]},
+        {"degrees": [[4, 1], (1, 4)]},
         {1: "int key"},
         {None: "none key"},
+        {1: [[4, 1]], "n": 2},
         {"nested": {(1, 2): "tuple key"}},
         (1, 2),
         {1, 2},
@@ -119,9 +151,8 @@ def test_matches_json_dumps_on_edge_cases(value):
         object(),
     ],
 )
-def test_rejects_types_outside_the_payloads(value):
-    with pytest.raises(TypeError):
-        json_text(value)
+def test_other_values_are_written_as_json_dumps_writes_them(value):
+    assert _outcome(json_text, value) == _outcome(_dumps, value)
 
 
 @pytest.mark.parametrize(
