@@ -70,6 +70,21 @@ def test_int_tables_with_one_odd_member_match_json_dumps(table, odd, at, inside)
         assert json_text(payload) == json.dumps(payload, indent=2)
 
 
+# A finite float in an int table is written as json.dumps writes it (one
+# of the odd members above); an infinity or a NaN is refused.
+@given(
+    int_tables,
+    st.sampled_from([float("inf"), -float("inf"), float("nan")]),
+    st.integers(min_value=0),
+    st.booleans(),
+)
+def test_int_tables_with_a_float_are_rejected(table, member, at, inside):
+    value = _insert(table, member, at, inside)
+    for payload in (value, {"pairs": value}):
+        with pytest.raises(ValueError):
+            json_text(payload)
+
+
 @pytest.mark.parametrize(
     "value",
     [
