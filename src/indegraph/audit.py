@@ -330,17 +330,24 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
                     order, size = bad[0]
                     first_bad = ((n // order) % n, order, n - size, claim)
     else:
-        # The oracle tier evaluates the claim once per vertex; the
-        # benchmark's tests pin that call count. The phi(n) inside each
-        # call is a hit on zn.euler_phi's cache, and the kind is looked
-        # up once per distinct order.
-        kinds = {order: zn.order_kind(order, n) for order in set(map(itemgetter(1), items))}
-        for vertex, order, deg, size in items:
-            claim = claims.degree_claim(kinds[order], n)
-            if deg not in claim:
-                deviating += size
-                if first_bad is None:
-                    first_bad = (vertex, order, deg, claim)
+        # The kinds come from the record's order classes, one
+        # zn.order_kind call per class. The claim is still evaluated
+        # once per vertex: the benchmark's tests pin that call count.
+        # The phi(n) inside each call is a hit on zn.euler_phi's cache.
+        kinds = {order: zn.order_kind(order, n) for order, _ in truth.order_classes}
+        try:
+            for vertex, order, deg, size in items:
+                claim = claims.degree_claim(kinds[order], n)
+                if deg not in claim:
+                    deviating += size
+                    if first_bad is None:
+                        first_bad = (vertex, order, deg, claim)
+        except KeyError as missing:
+            order = missing.args[0]
+            zn.order_kind(order, n)  # raises when the order does not divide n
+            raise ValueError(
+                f"order {order} divides {n} but has no order class"
+            ) from None
     if first_bad is None:
         return claimed, "all degrees as claimed", True, lambda: None
     vertex, order, deg, claim = first_bad

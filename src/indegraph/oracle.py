@@ -170,7 +170,9 @@ class IndependentGraph:
         connected graph with n >= 2 share a neighbor but no edge, so
         they sit at distance 2. The diameter is the quotient's, one less
         than the most BFS layers from any class, raised to 2 when some
-        class has two or more members.
+        class has two or more members. Each BFS stops once every class
+        is seen, so on a complete quotient of t classes it reads only
+        its source's row: t rows in all.
         """
         twins = self._twins
         if twins.components != 1:
@@ -254,15 +256,23 @@ class IndependentGraph:
 
 
 def _bfs(rows: tuple[int, ...], source: int) -> list[int]:
-    """The masks of the vertices at depth 0, 1, 2, ... of a BFS from `source`."""
+    """The masks of the vertices at depth 0, 1, 2, ... of a BFS from `source`.
+
+    The search returns as soon as its layers cover every vertex of
+    `rows`, so the last layer is expanded only when some vertex is still
+    unseen. No list ends in an empty layer.
+    """
+    full = (1 << len(rows)) - 1
     seen = frontier = 1 << source
-    layers = []
-    while frontier:
-        layers.append(frontier)
+    layers = [frontier]
+    while seen != full:
         nxt = 0
         for v in _iter_bits(frontier):
             nxt |= rows[v]
         frontier = nxt & ~seen
+        if not frontier:
+            break
+        layers.append(frontier)
         seen |= frontier
     return layers
 

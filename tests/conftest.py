@@ -273,7 +273,9 @@ def naive_chromatic_number_of_rows(rows: tuple[int, ...]) -> int:
 #
 # The oracle reads connectivity, diameter and bipartiteness off the
 # quotient by equal rows. These are the bitset searches it ran on all n
-# vertices before; the family-wide tests require equal answers.
+# vertices before; the family-wide tests require equal answers. The
+# layer BFS that expands every layer is the reference for the oracle's
+# `_bfs`, which stops once every vertex is seen.
 
 
 def _iter_bits(mask: int):
@@ -292,6 +294,20 @@ def _reach(rows: tuple[int, ...], start: int) -> int:
         frontier = nxt & ~visited
         visited |= frontier
     return visited
+
+
+def bfs_expanding_every_layer(rows: tuple[int, ...], source: int) -> list[int]:
+    """Layer masks of a BFS that ends only when a layer finds nothing new."""
+    seen = frontier = 1 << source
+    layers = []
+    while frontier:
+        layers.append(frontier)
+        nxt = 0
+        for v in _iter_bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return layers
 
 
 def unreduced_component_count(rows: tuple[int, ...]) -> int:

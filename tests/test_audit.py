@@ -454,6 +454,14 @@ def test_degree_item_with_a_foreign_order_raises():
         _verdict(t2_7, 12, replace(truth, degree_items=tuple(doctored_items)), True)
 
 
+def test_degree_item_with_an_order_outside_the_order_classes_raises():
+    truth = ground_truth(12, AuditConfig())
+    classes = tuple(cls for cls in truth.order_classes if cls[0] != 6)
+    [t2_7] = [claim for claim in CLAIMS if claim.theorem is TheoremId.T2_7]
+    with pytest.raises(ValueError, match="order 6 divides 12 but has no order class"):
+        _verdict(t2_7, 12, replace(truth, order_classes=classes), True)
+
+
 @pytest.mark.parametrize("exact, hamiltonian", [(2, 64), (64, 2), (2, 2), (64, 64)])
 def test_ground_truth_fills_declined_searches_from_the_closed_forms(exact, hamiltonian):
     config = AuditConfig(exact_search_limit=exact, hamiltonian_limit=hamiltonian)

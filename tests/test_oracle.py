@@ -9,6 +9,7 @@ from indegraph import oracle, zn
 from indegraph.invariants import INFINITE
 
 from conftest import (
+    bfs_expanding_every_layer,
     naive_bipartite,
     naive_bipartite_of_rows,
     naive_chromatic_number,
@@ -261,6 +262,48 @@ def test_twin_record_fields_match_their_definitions(graph):
     even, odd = twins.sides
     assert even & odd == 0
     assert even | odd == (1 << len(twins.firsts)) - 1
+
+
+@pytest.mark.parametrize("n, edges, source, layers", [
+    pytest.param(4, [(0, 1), (1, 2), (2, 3)], 0, [0b1, 0b10, 0b100, 0b1000],
+                 id="path-from-an-end"),
+    pytest.param(4, [(0, 1), (0, 2), (0, 3)], 0, [0b1, 0b1110], id="star-from-its-centre"),
+    pytest.param(4, [(0, 1), (0, 2), (0, 3)], 1, [0b10, 0b1, 0b1100], id="star-from-a-leaf"),
+    pytest.param(4, [(a, b) for a in range(4) for b in range(a + 1, 4)], 2,
+                 [0b100, 0b1011], id="K4"),
+    pytest.param(5, [(0, 1), (2, 3), (3, 4)], 3, [0b1000, 0b10100], id="two-components"),
+    pytest.param(5, [(0, 1), (2, 3), (3, 4)], 0, [0b1, 0b10], id="the-other-component"),
+    pytest.param(1, [], 0, [0b1], id="one-vertex"),
+])
+def test_bfs_layers_of_hand_made_graphs(n, edges, source, layers):
+    assert oracle._bfs(graph_of(n, edges).rows, source) == layers
+
+
+@given(st.one_of(random_graphs(), twin_blowups()))
+def test_bfs_matches_a_search_that_expands_every_layer(graph):
+    for source in range(graph.n):
+        layers = oracle._bfs(graph.rows, source)
+        assert layers == bfs_expanding_every_layer(graph.rows, source)
+        assert all(layers)
+
+
+def test_diameter_of_1680_expands_at_most_two_classes_per_class(monkeypatch):
+    # 1680 has 40 order classes, and its quotient is K_40: each BFS is
+    # done once its source's row is read. A BFS that expands every layer
+    # reads all 40 rows from each source, 1600 in all.
+    graph = oracle.build(1680)
+    assert len(graph._twins.rows) == 40
+    expanded = []
+    iter_bits = oracle._iter_bits
+
+    def counted(mask):
+        for v in iter_bits(mask):
+            expanded.append(v)
+            yield v
+
+    monkeypatch.setattr(oracle, "_iter_bits", counted)
+    assert graph.diameter() == 2
+    assert len(expanded) <= 2 * 40
 
 
 def test_one_bfs_of_the_quotient_per_invariants_call(monkeypatch):
