@@ -8,9 +8,9 @@ on the order-class structure of the graph: they remain valid oracles
 for the structural claims they audit, and the pruning rules are generic
 necessary conditions, never graph-family shortcuts.
 
-The degrees, connectivity, diameter, bipartiteness, the part count and
-the chromatic number are read off the false-twin quotient G/≡, which
-keeps one vertex per class of equal rows. Equal rows hold no edge
+The degrees, connectivity, diameter, bipartiteness, the part count, the
+girth and the chromatic number are read off the false-twin quotient
+G/≡, which keeps one vertex per class of equal rows. Equal rows hold no edge
 between their owners, since no row contains its own vertex, so for
 every simple graph:
 
@@ -20,7 +20,9 @@ every simple graph:
 - G is bipartite exactly when G/≡ is, and chi(G) = chi(G/≡);
 - the number of classes is the number of distinct rows;
 - a disconnected G has an INFINITE diameter, and otherwise the diameter
-  of G is that of G/≡, raised to 2 when some class has two members.
+  of G is that of G/≡, raised to 2 when some class has two members;
+- the girth of G is that of G/≡, lowered to 4 when some class has two
+  members and two neighbors.
 
 The quotient is built from the rows alone. Here it has one class per
 divisor of n: 2 at a prime, 30 at n = 20000.
@@ -40,7 +42,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
-from math import inf, isqrt
+from math import isqrt
 from operator import getitem, itemgetter, mul
 
 from indegraph.invariants import INFINITE, ORACLE, InvariantSet, is_star_profile
@@ -73,7 +75,10 @@ _Twins = namedtuple("_Twins", "first firsts sizes degrees rows components sides"
 @dataclass(frozen=True)
 class IndependentGraph:
     """I_G(Z_n) as its rows (a ~ b exactly when `rows[a] >> b & 1`), one
-    order per vertex, `edges()` and the invariants the audit reads."""
+    order per vertex, `edges()` and the invariants the audit reads.
+
+    No invariant reads `edges()`: it serves `export` and the tests only.
+    """
 
     n: int
     rows: tuple[int, ...]
@@ -184,54 +189,15 @@ class IndependentGraph:
     def girth(self) -> int | float:
         """Length of a shortest cycle, INFINITE when the graph is a forest.
 
-        Three generic steps, each reading only the adjacency rows:
-
-        1. Forest test: the graph is acyclic exactly when it has
-           n - (component count) edges. The components are counted on
-           the false-twin quotient.
-        2. Triangle test: the girth is 3 exactly when some edge (u, w)
-           of `edges()` has a common neighbor, i.e. rows[u] & rows[w] != 0.
-           At most one row intersection per edge; it stops at the first hit.
-        3. Per-source BFS, run only on triangle-free graphs: every
-           non-tree edge (u, w) seen from source s closes a walk of
-           length dist[u] + dist[w] + 1 through s, which never undercuts
-           the girth and hits it exactly for sources on a shortest
-           cycle. A source stops once 2 * dist reaches the best cycle
-           so far, and the search stops at the floor of 4. O(n * m) at
-           worst for m edges.
-
-        Itai & Rodeh (1978), "Finding a minimum circuit in a graph".
+        Read off the false-twin quotient. Classes are independent sets,
+        so every triangle of G is one of G/≡. Two twins with two common
+        neighbors close a 4-cycle. Otherwise every class with two or
+        more members has at most one neighbor and lies on no cycle, so
+        the cycles of G are those of G/≡.
         """
-        n, rows = self.n, self.rows
-        if self.edge_count() == n - self._twins.components:
-            return INFINITE
-        if any(rows[u] & rows[w] for u, w in self.edges()):
-            return 3
-        best: int | float = inf
-        for s in range(n):
-            dist = [-1] * n
-            parent = [-1] * n
-            dist[s] = 0
-            queue = [s]
-            head = 0
-            while head < len(queue):
-                u = queue[head]
-                head += 1
-                du = dist[u]
-                if 2 * du >= best:
-                    break
-                for w in _iter_bits(rows[u]):
-                    if dist[w] < 0:
-                        dist[w] = du + 1
-                        parent[w] = u
-                        queue.append(w)
-                    elif w != parent[u]:
-                        candidate = du + dist[w] + 1
-                        if candidate < best:
-                            best = candidate
-            if best == 4:
-                break
-        return best
+        twins = self._twins
+        twin_cycle = any(s > 1 and d > 1 for s, d in zip(twins.sizes, twins.degrees))
+        return min(_girth(twins.rows), 4 if twin_cycle else INFINITE)
 
     # -- colorability ----------------------------------------------------
 
@@ -275,6 +241,37 @@ def _bfs(rows: tuple[int, ...], source: int) -> list[int]:
         layers.append(frontier)
         seen |= frontier
     return layers
+
+
+def _girth(rows: tuple[int, ...]) -> int | float:
+    """Length of a shortest cycle of `rows`, by a BFS from each vertex.
+
+    At depth i, an edge inside the layer closes an odd cycle of length at
+    most 2i + 1, and an unseen vertex with two neighbors in the layer an
+    even one of length at most 2i + 2. A BFS from a vertex of a shortest
+    cycle meets that cycle's length. A source stops once 2i + 1 reaches
+    the best cycle so far, and the search stops at 3.
+
+    Itai & Rodeh (1978), "Finding a minimum circuit in a graph".
+    """
+    best: int | float = INFINITE
+    for s in range(len(rows)):
+        seen = 0
+        for i, layer in enumerate(_bfs(rows, s)):
+            if 2 * i + 1 >= best:
+                break
+            seen |= layer
+            once = twice = 0
+            for v in _iter_bits(layer):
+                twice |= once & rows[v]
+                once |= rows[v]
+            if once & layer:
+                best = 2 * i + 1
+            elif twice & ~seen:
+                best = 2 * i + 2
+        if best == 3:
+            break
+    return best
 
 
 def _layers(rows: tuple[int, ...]) -> tuple[int, list[int]]:

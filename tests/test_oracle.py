@@ -101,8 +101,9 @@ PETERSEN = (
 )
 TREE = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (5, 6)]
 
-# Every composite n gives a triangle and every prime n a star, so only
-# hand-made graphs reach the per-source BFS of girth().
+# Every graph runs `_girth` on its false-twin quotient, and across the
+# family it stops at 3 (every composite n) or finds a forest (every
+# prime n, a star). So only hand-made graphs reach girth 4 or more.
 GENERIC_GIRTHS = [
     *(pytest.param(k, cycle(k), k, id=f"C{k}") for k in range(3, 9)),
     pytest.param(6, [(a, b) for a in range(3) for b in range(3, 6)], 4, id="K33"),
@@ -113,8 +114,21 @@ GENERIC_GIRTHS = [
     pytest.param(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2)], 3, id="triangle-off-0"),
 ]
 
+# One hand-made twin graph per branch of girth(): a triangle of the
+# quotient, the twin rule (two twins with two common neighbors), a
+# quotient cycle whose twins are leaves, and forests.
+TWIN_GIRTHS = [
+    pytest.param(4, cycle(3) + [(3, 0), (3, 1)], 3, id="K112"),
+    pytest.param(5, [(a, b) for a in range(2) for b in range(2, 5)], 4, id="K23"),
+    pytest.param(6, cycle(5) + [(5, 1), (5, 4)], 4, id="C5-one-vertex-doubled"),
+    pytest.param(7, cycle(5) + [(0, 5), (0, 6)], 5, id="C5+twin-leaves"),
+    pytest.param(9, cycle(7) + [(0, 7), (0, 8)], 7, id="C7+twin-leaves"),
+    pytest.param(5, [(0, b) for b in range(1, 5)], INFINITE, id="star"),
+    pytest.param(6, [(0, 1), (1, 2), (2, 3)], INFINITE, id="path+2-isolated"),
+]
 
-@pytest.mark.parametrize("n, edges, expected", GENERIC_GIRTHS)
+
+@pytest.mark.parametrize("n, edges, expected", GENERIC_GIRTHS + TWIN_GIRTHS)
 def test_girth_of_generic_graphs(n, edges, expected):
     graph = graph_of(n, edges)
     assert graph.girth() == expected
@@ -140,6 +154,30 @@ def test_disconnected_graphs(n, edges, expected, girth_first):
     ]
     for name, value in reversed(queries) if girth_first else queries:
         assert getattr(graph, name)() == value
+
+
+@pytest.mark.parametrize("n, searches", [(1680, 1), (20000, 1), (19997, 2)])
+def test_girth_stops_at_a_triangle_or_the_last_class(monkeypatch, n, searches):
+    # 1680 and 20000 have a complete quotient, so the first BFS finds a
+    # triangle. The prime 19997 has two classes and no cycle.
+    graph = oracle.build(n)
+    graph._twins  # building the quotient runs `_bfs` too
+    calls = []
+    bfs = oracle._bfs
+    monkeypatch.setattr(oracle, "_bfs", lambda rows, s: calls.append(s) or bfs(rows, s))
+    graph.girth()
+    assert len(calls) == searches
+
+
+@pytest.mark.parametrize("n", [2, 12, 97, 1680, 20000])
+def test_invariants_never_list_the_edges(monkeypatch, n):
+    expected = oracle.invariants(oracle.build(n))
+
+    def refuse(self):
+        raise AssertionError("edges() called")
+
+    monkeypatch.setattr(oracle.IndependentGraph, "edges", refuse)
+    assert oracle.invariants(oracle.build(n)) == expected
 
 
 @st.composite
