@@ -331,13 +331,15 @@ def _degrees(n: int, truth: InvariantSet) -> CheckResult:
                     first_bad = ((n // order) % n, order, n - size, claim)
     else:
         # The kinds come from the record's order classes, one
-        # zn.order_kind call per class. The claim is still evaluated
-        # once per vertex: the benchmark's tests pin that call count.
-        # The phi(n) inside each call is a hit on zn.euler_phi's cache.
+        # zn.order_kind call per class. The claim is still asked once
+        # per vertex, as the benchmark's tests pin that call count, but
+        # its memo evaluates the formula once per kind. It is bound here,
+        # not at import, so a tracer installed between audits sees it.
         kinds = {order: zn.order_kind(order, n) for order, _ in truth.order_classes}
+        degree_claim = claims.degree_claim
         try:
             for vertex, order, deg, size in items:
-                claim = claims.degree_claim(kinds[order], n)
+                claim = degree_claim(kinds[order], n)
                 if deg not in claim:
                     deviating += size
                     if first_bad is None:

@@ -4,9 +4,16 @@ Each function evaluates one claimed formula or statement exactly as
 printed, errors included. Nothing here is corrected; the corrected
 counterparts live in indegraph.closed_form, and indegraph.audit reports
 where the two disagree with ground truth on which side.
+
+`degree_claim` keeps its last three results, one modulus's three
+kinds: the audit's oracle tier asks it once per vertex, so only the
+first ask per kind evaluates the formula. A call that raises is not
+stored, so it raises again on every call.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from indegraph.invariants import INFINITE
 from indegraph.zn import INVOLUTION, NEITHER, UNIT, check_modulus, euler_phi, is_prime
@@ -36,6 +43,7 @@ def neither_count(n: int, swapped: bool = False) -> int:
     return n - euler_phi(n) - (1 if even else 2)
 
 
+@lru_cache(maxsize=3)
 def degree_claim(kind: str, n: int) -> tuple[int, ...]:
     """Allowed degrees of a vertex of the given kind (zn.order_kind)."""
     check_modulus(n)

@@ -23,7 +23,7 @@ from math import gcd, inf
 
 import pytest
 
-from indegraph import closed_form, zn
+from indegraph import claims, closed_form, zn
 from indegraph.invariants import CLOSED_FORM, InvariantSet, is_star_profile
 
 
@@ -460,9 +460,11 @@ def one_sort_divisor_phis(n: int) -> list[tuple[int, int]]:
 
 
 def clear_zn_caches():
-    """Empty the factorize and euler_phi caches, as a fresh process finds them."""
+    """Empty the factorize, euler_phi and degree_claim caches, as a fresh
+    process finds them."""
     zn.factorize.cache_clear()
     zn.euler_phi.cache_clear()
+    claims.degree_claim.cache_clear()
 
 
 @pytest.fixture

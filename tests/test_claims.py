@@ -11,7 +11,7 @@ from indegraph.audit import TheoremId, audit_n
 from indegraph.invariants import INFINITE
 from indegraph.zn import INVOLUTION, NEITHER, UNIT, euler_phi, order_kind
 
-from conftest import classify_residue, naive_order
+from conftest import classify_residue, clear_zn_caches, naive_order
 
 moduli = st.integers(min_value=2, max_value=300)
 
@@ -67,6 +67,33 @@ def test_degree_claim_follows_residue_kind():
         for a in range(n):
             kind = order_kind(naive_order(a, n), n)
             assert claims.degree_claim(kind, n) == by_kind[classify_residue(a, n)]
+
+
+def test_degree_claim_memo_returns_the_formula():
+    for n in range(2, 601):
+        for kind in (INVOLUTION, UNIT, NEITHER):
+            assert claims.degree_claim(kind, n) == claims.degree_claim.__wrapped__(kind, n)
+
+
+def test_degree_claim_memo_stores_no_error():
+    claims.degree_claim(UNIT, 10)
+    size = claims.degree_claim.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            claims.degree_claim(INVOLUTION, 1)
+        with pytest.raises(ValueError):
+            claims.degree_claim("bogus", 10)
+        assert claims.degree_claim.cache_info().currsize == size
+
+
+@pytest.mark.parametrize("n, misses", [(1680, 3), (1693, 2), (2, 1)])
+def test_audit_evaluates_the_degree_claim_once_per_kind(n, misses):
+    # The oracle tier asks once per vertex; the memo answers all but the
+    # first ask per kind.
+    clear_zn_caches()
+    audit_n(n)
+    info = claims.degree_claim.cache_info()
+    assert (info.misses, info.hits) == (misses, n - misses)
 
 
 def test_edge_count_claimed_values():

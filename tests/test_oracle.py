@@ -533,6 +533,9 @@ def _without_edge_0_1(rows, full):
         (30, _on_parts(lambda a, d: 5 if d == 15 else d)),
         (30, _on_parts(lambda a, d: (d, d == 5 and a < 15))),
         (6, _without_edge_0_1),
+        # Vertex 2 (order 2) gets itself and bit 5: the non-neighborhood
+        # total stays n, so only the diagonal shows it.
+        (4, lambda rows, full: _set(rows, [2], rows[2] | 1 << 2 | 1 << 5)),
     ],
     ids=[
         "same-class-bit-set",
@@ -545,6 +548,7 @@ def _without_edge_0_1(rows, full):
         "merged-order-classes",
         "split-order-class",
         "edge-removed",
+        "own-vertex-with-a-bit-above-n",
     ],
 )
 def test_verify_multipartite_detects_deviation(n, change):
