@@ -17,7 +17,8 @@ every simple graph:
 - twins share their degree, so one row per class is counted;
 - the components of G are those of G/≡, plus size - 1 more for each
   class whose row is empty;
-- G is bipartite exactly when G/≡ is, and chi(G) = chi(G/≡);
+- G is bipartite exactly when G/≡ is, and chi(G) = chi(G/≡), which a
+  greedy clique and greedy color classes of the quotient's rows bound;
 - the number of classes is the number of distinct rows;
 - a disconnected G has an INFINITE diameter, and otherwise the diameter
   of G is that of G/≡, raised to 2 when some class has two members;
@@ -365,6 +366,31 @@ def verify_complete_multipartite(graph: IndependentGraph) -> bool:
 # -- exact clique and coloring ------------------------------------------
 
 
+def _color_classes(rows: tuple[int, ...], candidates: int) -> tuple[list[int], list[int]]:
+    """Greedy color classes of the vertices in `candidates`.
+
+    Class c takes the lowest uncolored candidate, then each higher one
+    with no neighbor in the class so far. Returns the vertices in the
+    order they were colored and their colors, 1 for the first class, so
+    the last color is the number of classes.
+    """
+    order: list[int] = []
+    colors: list[int] = []
+    color = 0
+    rest = candidates
+    while rest:
+        color += 1
+        avail = rest
+        while avail:
+            low = avail & -avail
+            v = low.bit_length() - 1
+            avail &= ~rows[v] & ~low
+            rest ^= low
+            order.append(v)
+            colors.append(color)
+    return order, colors
+
+
 def max_clique(
     graph: IndependentGraph, limit: int = DEFAULT_EXACT_SEARCH_LIMIT
 ) -> tuple[int, ...]:
@@ -377,22 +403,9 @@ def max_clique(
 
     def expand(candidates: int) -> None:
         nonlocal best
-        # Greedy-color the candidate set; a vertex in color class c can
-        # extend the clique by at most c more vertices.
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        rest = candidates
-        while rest:
-            color += 1
-            avail = rest
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                avail &= ~rows[v] & ~low
-                rest ^= low
-                order.append(v)
-                bounds.append(color)
+        # A vertex in color class c can extend the clique by at most c
+        # more vertices.
+        order, bounds = _color_classes(rows, candidates)
         for i in range(len(order) - 1, -1, -1):
             if len(current) + bounds[i] <= len(best):
                 return
@@ -410,21 +423,9 @@ def max_clique(
     return tuple(sorted(best))
 
 
-def greedy_coloring(graph: IndependentGraph) -> list[int]:
-    """Sequential greedy coloring in vertex order; an upper bound for chi."""
-    colors = [-1] * graph.n
-    for v in range(graph.n):
-        used = 0
-        for w in _iter_bits(graph.rows[v]):
-            if colors[w] >= 0:
-                used |= 1 << colors[w]
-        colors[v] = (~used & (used + 1)).bit_length() - 1
-    return colors
-
-
-def _k_coloring(graph: IndependentGraph, k: int) -> list[int] | None:
+def _k_coloring(rows: tuple[int, ...], k: int) -> list[int] | None:
     """Backtracking k-coloring with saturation-first vertex selection."""
-    n, rows = graph.n, graph.rows
+    n = len(rows)
     colors = [-1] * n
     neighbor_colors = [0] * n
 
@@ -465,26 +466,25 @@ def _k_coloring(graph: IndependentGraph, k: int) -> list[int] | None:
     return colors if place(0, 0) else None
 
 
-def chromatic_number(
-    graph: IndependentGraph,
-    limit: int = DEFAULT_EXACT_SEARCH_LIMIT,
-    clique_size: int | None = None,
-) -> int:
-    """Exact chromatic number, searched on the false-twin quotient.
+def chromatic_number(graph: IndependentGraph, limit: int = DEFAULT_EXACT_SEARCH_LIMIT) -> int:
+    """Exact chromatic number, from the rows of the false-twin quotient.
 
     Twins are never adjacent and can share a color, so chi(G) equals
-    chi(G/≡), and a clique holds at most one vertex per class. The
-    search starts from the clique lower bound: `clique_size` when the
-    caller already knows omega(G), else a clique search on the quotient.
+    chi(G/≡). A greedy clique (the lowest class left, then only its
+    neighbors) bounds chi from below and the greedy color classes from
+    above; `_k_coloring` tries only the k between the two.
     """
     if graph.n > limit:
         raise CapacityError(f"n={graph.n} exceeds the exact search limit {limit}")
-    quotient = IndependentGraph(len(graph._twins.rows), graph._twins.rows, ())
-    if clique_size is None:
-        clique_size = len(max_clique(quotient, limit=quotient.n))
-    upper = max(greedy_coloring(quotient)) + 1
-    for k in range(clique_size, upper):
-        if _k_coloring(quotient, k) is not None:
+    rows = graph._twins.rows
+    full = (1 << len(rows)) - 1
+    lower, rest = 0, full
+    while rest:
+        lower += 1
+        rest &= rows[(rest & -rest).bit_length() - 1]
+    upper = _color_classes(rows, full)[1][-1]
+    for k in range(lower, upper):
+        if _k_coloring(rows, k) is not None:
             return k
     return upper
 
@@ -578,9 +578,7 @@ def invariants(
     clique_vertices = chromatic = exact_tier = None
     if n <= exact_limit:
         clique_vertices = max_clique(graph, limit=exact_limit)
-        chromatic = chromatic_number(
-            graph, limit=exact_limit, clique_size=len(clique_vertices)
-        )
+        chromatic = chromatic_number(graph, limit=exact_limit)
         exact_tier = ORACLE
     cycle = hamiltonian = hamiltonian_tier = None
     if n <= hamiltonian_limit:

@@ -424,6 +424,29 @@ def naive_hamiltonian(n: int) -> bool:
     return False
 
 
+def naive_hamiltonian_of_rows(rows: tuple[int, ...]) -> bool:
+    """Held-Karp over vertex subsets. Exponential; n <= 12.
+
+    ends[S] holds each vertex that a path from 0 through exactly the
+    vertices of S can end at; a cycle closes from such an end of the
+    whole set back to 0. Held & Karp (1962), "A dynamic programming
+    approach to sequencing problems".
+    """
+    n = len(rows)
+    if n < 3:
+        return False
+    adj = [[w for w in range(n) if rows[v] >> w & 1] for v in range(n)]
+    ends = [0] * (1 << n)
+    ends[1] = 1
+    for subset in range(1, 1 << n, 2):
+        for v in range(n):
+            if ends[subset] >> v & 1:
+                for w in adj[v]:
+                    if not subset >> w & 1:
+                        ends[subset | 1 << w] |= 1 << w
+    return any(ends[-1] >> v & 1 and 0 in adj[v] for v in range(n))
+
+
 # -- the oracle's rows, before the divisor walk ------------------------------
 
 

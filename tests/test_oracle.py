@@ -24,6 +24,7 @@ from conftest import (
     naive_girth,
     naive_girth_of_rows,
     naive_hamiltonian,
+    naive_hamiltonian_of_rows,
     naive_orders,
     per_vertex_rows,
     unreduced_bipartite,
@@ -355,24 +356,11 @@ def test_one_bfs_of_the_quotient_per_invariants_call(monkeypatch):
 
 
 @given(twin_blowups())
-def test_k_coloring_reads_degrees_off_its_own_rows(graph):
-    def refuse(self):
-        raise AssertionError("degrees() called")
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle.IndependentGraph, "degrees", refuse)
-        colors = oracle._k_coloring(graph, graph.n)
-    assert colors is not None
-
-
-@given(twin_blowups())
 def test_coloring_of_twin_blowups_matches_full_graph_search(graph):
     unreduced = next(
-        k for k in range(1, graph.n + 1) if oracle._k_coloring(graph, k) is not None
+        k for k in range(1, graph.n + 1) if oracle._k_coloring(graph.rows, k) is not None
     )
-    clique = oracle.max_clique(graph)
     assert oracle.chromatic_number(graph) == unreduced
-    assert oracle.chromatic_number(graph, clique_size=len(clique)) == unreduced
 
 
 def mycielskian(n, edges):
@@ -385,37 +373,59 @@ def mycielskian(n, edges):
     )
 
 
+def count_k_colorings(monkeypatch):
+    """Patch `_k_coloring` to record each k it is asked for."""
+    tried = []
+    k_coloring = oracle._k_coloring
+    monkeypatch.setattr(
+        oracle, "_k_coloring", lambda rows, k: tried.append(k) or k_coloring(rows, k)
+    )
+    return tried
+
+
 # Every I_G(Z_n) is complete multipartite, so omega = chi; only hand-made
-# graphs reach the exact k-coloring fallback of chromatic_number().
-@pytest.mark.parametrize("n, edges, girth, omega, chi", [
-    pytest.param(5, cycle(5), 5, 2, 3, id="C5"),
-    pytest.param(7, cycle(7), 7, 2, 3, id="C7"),
-    pytest.param(10, PETERSEN, 5, 2, 3, id="petersen"),
-    pytest.param(11, mycielskian(5, cycle(5)), 4, 2, 4, id="grotzsch"),
-    pytest.param(23, mycielskian(11, mycielskian(5, cycle(5))), 4, 2, 5, id="mycielski-23"),
+# graphs reach the exact k-coloring ladder of chromatic_number(). `tried`
+# lists the k it runs: those from the greedy clique up to one below the
+# greedy color classes.
+@pytest.mark.parametrize("n, edges, girth, omega, chi, tried", [
+    pytest.param(5, cycle(5), 5, 2, 3, [2], id="C5"),
+    pytest.param(7, cycle(7), 7, 2, 3, [2], id="C7"),
+    pytest.param(10, PETERSEN, 5, 2, 3, [2], id="petersen"),
+    pytest.param(11, mycielskian(5, cycle(5)), 4, 2, 4, [2, 3], id="grotzsch"),
+    pytest.param(23, mycielskian(11, mycielskian(5, cycle(5))), 4, 2, 5, [2, 3, 4],
+                 id="mycielski-23"),
 ])
 def test_exact_searches_where_clique_number_is_below_chromatic_number(
-    monkeypatch, n, edges, girth, omega, chi
+    monkeypatch, n, edges, girth, omega, chi, tried
 ):
     graph = graph_of(n, edges)
     assert graph.girth() == naive_girth_of_rows(graph.rows) == girth
-    ladder = next(k for k in range(1, n + 1) if oracle._k_coloring(graph, k) is not None)
+    ladder = next(k for k in range(1, n + 1) if oracle._k_coloring(graph.rows, k) is not None)
     assert ladder == chi
-    colors = oracle._k_coloring(graph, chi)
+    colors = oracle._k_coloring(graph.rows, chi)
     assert all(colors[a] != colors[b] for a, b in graph.edges())
 
     clique = oracle.max_clique(graph)
     assert len(clique) == omega
     assert all(graph.rows[a] >> b & 1 for a in clique for b in clique if a != b)
 
-    tried = []
-    k_coloring = oracle._k_coloring
-    monkeypatch.setattr(
-        oracle, "_k_coloring", lambda g, k: tried.append(k) or k_coloring(g, k)
-    )
+    counted = count_k_colorings(monkeypatch)
     assert oracle.chromatic_number(graph) == chi
-    assert oracle.chromatic_number(graph, clique_size=omega) == chi
-    assert tried and min(tried) == omega
+    assert counted == tried
+
+
+def test_crown_graph_is_two_colored_by_the_ladder(monkeypatch):
+    # S_4^0, K_{4,4} less a perfect matching: vertex 2i ~ 2j + 1 for i != j.
+    # The greedy classes pair 2i with 2i + 1 and use 4 colors, as a greedy
+    # coloring in vertex order does, and the greedy clique is an edge, so
+    # the ladder finds chi = 2. A ladder started at 3 would answer 3.
+    graph = graph_of(8, [(2 * i, 2 * j + 1) for i in range(4) for j in range(4) if i != j])
+    order, colors = oracle._color_classes(graph.rows, (1 << 8) - 1)
+    assert order == list(range(8)) and colors == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert len(oracle.max_clique(graph)) == 2
+    counted = count_k_colorings(monkeypatch)
+    assert oracle.chromatic_number(graph) == naive_chromatic_number_of_rows(graph.rows) == 2
+    assert counted == [2]
 
 
 # The time is the naive reference's: eight isolated vertices beside a K4
@@ -722,18 +732,37 @@ def test_chromatic_matches_exhaustive(n):
     assert oracle.chromatic_number(oracle.build(n)) == naive_chromatic_number(n)
 
 
-def test_chromatic_is_divisor_count_up_to_64():
+def test_chromatic_is_divisor_count_up_to_64(monkeypatch):
+    # The quotient of I_G(Z_n) is complete, so the greedy clique and the
+    # greedy color classes both count its classes: no k is searched.
+    counted = count_k_colorings(monkeypatch)
     for n in range(2, 65):
         graph = oracle.build(n)
         assert oracle.chromatic_number(graph) == len(zn.divisors(n))
+    assert counted == []
 
 
-def test_greedy_coloring_is_proper():
+def assert_proper_color_classes(rows, candidates):
+    """Each candidate colored once, colors 1, 2, ... in order, no edge inside a color."""
+    order, colors = oracle._color_classes(rows, candidates)
+    assert sorted(order) == [v for v in range(len(rows)) if candidates >> v & 1]
+    assert len(colors) == len(order)
+    assert colors == sorted(colors)
+    assert set(colors) == set(range(1, colors[-1] + 1) if colors else ())
+    color_of = dict(zip(order, colors))
+    assert all(color_of[a] != color_of[b] for a in order for b in order if rows[a] >> b & 1)
+
+
+def test_color_classes_of_the_family_are_proper():
     for n in range(2, 40):
         graph = oracle.build(n)
-        colors = oracle.greedy_coloring(graph)
-        for a, b in graph.edges():
-            assert colors[a] != colors[b]
+        assert_proper_color_classes(graph.rows, (1 << n) - 1)
+
+
+@given(random_graphs(), st.integers(min_value=0, max_value=(1 << 12) - 1))
+def test_color_classes_of_random_candidates_are_proper(graph, subset):
+    assert_proper_color_classes(graph.rows, (1 << graph.n) - 1)
+    assert_proper_color_classes(graph.rows, subset & ((1 << graph.n) - 1))
 
 
 @pytest.mark.parametrize("n", range(2, 10))
@@ -753,6 +782,43 @@ def test_hamiltonian_cycles_are_valid_and_canonical():
         assert cycle[1] < cycle[-1]
         for i in range(n):
             assert graph.rows[cycle[i]] >> cycle[(i + 1) % n] & 1
+
+
+def assert_valid_canonical_cycle(graph, cycle):
+    n = graph.n
+    assert sorted(cycle) == list(range(n))
+    assert cycle[0] == 0
+    assert cycle[1] < cycle[-1]
+    assert all(graph.rows[cycle[i]] >> cycle[(i + 1) % n] & 1 for i in range(n))
+
+
+# The Held-Karp reference visits every vertex subset, so the blow-ups
+# are kept to the 12 vertices of random_graphs().
+@settings(deadline=None)
+@given(st.one_of(random_graphs(), twin_blowups().filter(lambda graph: graph.n <= 12)))
+def test_hamiltonian_search_of_random_graphs_matches_held_karp(graph):
+    cycle = oracle.find_hamiltonian_cycle(graph)
+    assert (cycle is not None) == naive_hamiltonian_of_rows(graph.rows)
+    if cycle is not None:
+        assert_valid_canonical_cycle(graph, cycle)
+
+
+# K4 with a pendant vertex is refuted by the degree rule at the root.
+@pytest.mark.parametrize("n, edges, hamiltonian", [
+    *(pytest.param(k, cycle(k), True, id=f"C{k}") for k in range(5, 9)),
+    pytest.param(10, PETERSEN, False, id="petersen"),
+    pytest.param(7, [(a, b) for a in range(3) for b in range(3, 7)], False, id="K34"),
+    pytest.param(5, [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(3, 4)], False,
+                 id="K4+pendant"),
+    pytest.param(11, mycielskian(5, cycle(5)), True, id="grotzsch"),
+])
+def test_hamiltonian_search_of_hand_made_graphs(n, edges, hamiltonian):
+    graph = graph_of(n, edges)
+    cycle = oracle.find_hamiltonian_cycle(graph)
+    assert naive_hamiltonian_of_rows(graph.rows) is hamiltonian
+    assert (cycle is not None) is hamiltonian
+    if cycle is not None:
+        assert_valid_canonical_cycle(graph, cycle)
 
 
 def test_hamiltonian_exceptions_up_to_24():
