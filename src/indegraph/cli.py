@@ -156,24 +156,40 @@ def _cmd_sweep(args: argparse.Namespace, config: AuditConfig) -> int:
 # -- export ------------------------------------------------------------------
 
 
+def edges(graph: oracle.IndependentGraph) -> Iterator[tuple[int, int]]:
+    """Unordered edges as (a, b) with a < b, lexicographic.
+
+    Each row's bits above a are read from its binary string, lowest
+    first, so a row costs one conversion and a `find` per edge;
+    clearing one bit at a time would copy the whole n-bit row per edge.
+    """
+    for a in range(graph.n):
+        first = a + 1
+        bits = bin(graph.rows[a] >> first)[:1:-1]
+        i = bits.find("1")
+        while i >= 0:
+            yield a, first + i
+            i = bits.find("1", i + 1)
+
+
 def render_dot(graph: oracle.IndependentGraph, label_orders: bool = False) -> Iterator[str]:
     yield f"graph indep_{graph.n} {{\n"
     for v in range(graph.n):
         yield f'  {v} [label="{v} o={graph.orders[v]}"];\n' if label_orders else f"  {v};\n"
-    for a, b in graph.edges():
+    for a, b in edges(graph):
         yield f"  {a} -- {b};\n"
     yield "}\n"
 
 
 def render_edgelist(graph: oracle.IndependentGraph) -> Iterator[str]:
-    return (f"{a} {b}\n" for a, b in graph.edges())
+    return (f"{a} {b}\n" for a, b in edges(graph))
 
 
 def render_json_graph(graph: oracle.IndependentGraph) -> Iterator[str]:
     """The text of json.dumps({"n": n, "edges": [[a, b], ...]}) and a newline."""
     yield f'{{"n": {graph.n}, "edges": ['
     separator = ""
-    for a, b in graph.edges():
+    for a, b in edges(graph):
         yield f"{separator}[{a}, {b}]"
         separator = ", "
     yield "]}\n"

@@ -8,25 +8,19 @@ on the order-class structure of the graph: they remain valid oracles
 for the structural claims they audit, and the pruning rules are generic
 necessary conditions, never graph-family shortcuts.
 
-The degrees, connectivity, diameter, bipartiteness, the part count, the
-girth and the chromatic number are read off the false-twin quotient
-G/≡, which keeps one vertex per class of equal rows. Equal rows hold no edge
-between their owners, since no row contains its own vertex, so for
-every simple graph:
-
-- twins share their degree, so one row per class is counted;
-- the components of G are those of G/≡, plus size - 1 more for each
-  class whose row is empty;
-- G is bipartite exactly when G/≡ is, and chi(G) = chi(G/≡), which a
-  greedy clique and greedy color classes of the quotient's rows bound;
-- the number of classes is the number of distinct rows;
-- a disconnected G has an INFINITE diameter, and otherwise the diameter
-  of G is that of G/≡, raised to 2 when some class has two members;
-- the girth of G is that of G/≡, lowered to 4 when some class has two
-  members and two neighbors.
-
-The quotient is built from the rows alone. Here it has one class per
-divisor of n: 2 at a prime, 30 at n = 20000.
+The oracle splits at the twin record. G's rows are read only by
+`build`, by `twins`, which groups them into false-twin classes (equal
+rows), by `verify_complete_multipartite` and by the two witness
+searches, `max_clique` and `find_hamiltonian_cycle`. Every other
+invariant (the degrees, connectivity, diameter, bipartiteness, the part
+count, the girth and the chromatic number) is a plain function of the
+weighted quotient G/≡ that `quotient` packs: one row per class, the
+class sizes and the class degrees. Each function's docstring gives the
+lemma, true of every simple graph, that lifts its answer from G/≡ to G.
+Here G/≡ has one class per divisor of n: 2 at a prime, 30 at n = 20000.
+A quotient can also be given with no graph behind it: the tests feed
+the K_t that Theorem 3.3 describes, one class of size phi(d) per
+divisor d, to the same functions far above the build limit.
 
 `invariants` reads only the graph it is given: the rows, and the orders
 `build` computed once per residue. The order classes and the involution
@@ -41,7 +35,6 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, repeat
 from math import isqrt
 from operator import getitem, itemgetter, mul
@@ -70,156 +63,135 @@ def _iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-_Twins = namedtuple("_Twins", "first firsts sizes degrees rows components sides")
-
-
 @dataclass(frozen=True)
 class IndependentGraph:
-    """I_G(Z_n) as its rows (a ~ b exactly when `rows[a] >> b & 1`), one
-    order per vertex, `edges()` and the invariants the audit reads.
-
-    No invariant reads `edges()`: it serves `export` and the tests only.
-    """
+    """I_G(Z_n) as its rows (a ~ b exactly when `rows[a] >> b & 1`) and one
+    order per vertex."""
 
     n: int
     rows: tuple[int, ...]
     orders: tuple[int, ...]
 
-    # -- basic queries ---------------------------------------------------
 
-    def degrees(self) -> tuple[int, ...]:
-        twins = self._twins
-        return _pick(dict(zip(twins.firsts, twins.degrees)), twins.first)
+Quotient = namedtuple("Quotient", "rows sizes degrees components sides")
+Twins = namedtuple("Twins", "first firsts quotient")
 
-    def edge_count(self) -> int:
-        """Half the degree sum, taken once per twin class."""
-        return sum(map(mul, self._twins.sizes, self._twins.degrees)) // 2
 
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Unordered edges as (a, b) with a < b, lexicographic.
+def twins(graph: IndependentGraph) -> Twins:
+    """G's false-twin classes: each vertex's class as its first member, the
+    first members in vertex order, and the weighted quotient, whose class
+    i is the class of `firsts[i]`.
 
-        Each row's bits above a are read from its binary string, lowest
-        first, so a row costs one conversion and a `find` per edge;
-        `_iter_bits` would copy the whole n-bit row once per edge.
-        """
-        for a in range(self.n):
-            first = a + 1
-            bits = bin(self.rows[a] >> first)[:1:-1]
-            i = bits.find("1")
-            while i >= 0:
-                yield a, first + i
-                i = bits.find("1", i + 1)
+    Equal rows hold no edge between their owners (a row never contains
+    its own vertex), so every class is an independent set and the
+    quotient is the subgraph of G induced by the first members. Twins
+    share their degree, so only the first member's row is counted.
 
-    # -- false-twin quotient ---------------------------------------------
+    The rows are grouped in two steps, so no n-bit row is hashed once
+    per vertex. One C-level pass over `map(id, rows)` maps each vertex
+    to the first vertex holding the same row object. Then each
+    distinct object's value is hashed once, which merges distinct
+    objects holding equal rows: an object always equals itself, and
+    the value merge catches the rest. The quotient rows test the t^2
+    class pairs in C.
+    """
+    rows = graph.rows
+    by_id: dict[int, int] = {}
+    object_first = list(map(by_id.setdefault, map(id, rows), range(graph.n)))
+    # Objects are met in vertex order, so `index` keeps the smallest
+    # vertex of each value and lists the classes by first member.
+    index: dict[int, int] = {}
+    merged = {f: index.setdefault(rows[f], f) for f in by_id.values()}
+    # With no value held by two objects, each object's first vertex
+    # is already its class's.
+    first = object_first
+    if len(index) < len(merged):
+        first = list(map(merged.__getitem__, object_first))
+    firsts = list(index.values())
+    # Counter keeps first-seen order, which is the order of `firsts`.
+    sizes = tuple(Counter(first).values())
+    member_bits = [1 << v for v in firsts]
+    class_bits = [1 << j for j in range(len(firsts))]
+    quotient_rows = tuple(
+        sum(compress(class_bits, map(rows[v].__and__, member_bits))) for v in firsts
+    )
+    degrees = tuple([rows[v].bit_count() for v in firsts])
+    return Twins(first, firsts, quotient(quotient_rows, sizes, degrees))
 
-    @cached_property
-    def _twins(self) -> _Twins:
-        """The false-twin classes: each vertex's class as its first member,
-        the first members, the class sizes and degrees, the quotient's
-        rows, the component count of G and the quotient's even and odd
-        BFS sides.
 
-        Class i is adjacent to class j exactly when the first member of
-        i is adjacent to the first member of j. Equal rows hold no edge
-        between their owners (a row never contains its own vertex), so
-        every class is an independent set, the quotient is an induced
-        subgraph of G, and no two of its rows are equal. Twins share
-        their degree, so only the first member's row is counted.
+def quotient(rows: tuple[int, ...], sizes: tuple[int, ...], degrees: tuple[int, ...]) -> Quotient:
+    """The weighted quotient of a graph G whose false-twin classes have
+    these rows (bit j set when class j is adjacent; no two equal, none
+    holding its own class), these sizes and these degrees in G.
 
-        The rows are grouped in two steps, so no n-bit row is hashed once
-        per vertex. One C-level pass over `map(id, rows)` maps each vertex
-        to the first vertex holding the same row object. Then each
-        distinct object's value is hashed once, which merges distinct
-        objects holding equal rows: an object always equals itself, and
-        the value merge catches the rest. The quotient rows test the t^2
-        class pairs in C. One BFS of the quotient gives its components
-        and sides.
-        """
-        rows = self.rows
-        by_id: dict[int, int] = {}
-        object_first = list(map(by_id.setdefault, map(id, rows), range(self.n)))
-        # Objects are met in vertex order, so `index` keeps the smallest
-        # vertex of each value and lists the classes by first member.
-        index: dict[int, int] = {}
-        merged = {f: index.setdefault(rows[f], f) for f in by_id.values()}
-        # With no value held by two objects, each object's first vertex
-        # is already its class's.
-        first = object_first
-        if len(index) < len(merged):
-            first = list(map(merged.__getitem__, object_first))
-        firsts = list(index.values())
-        # Counter keeps first-seen order, which is the order of `firsts`.
-        sizes = tuple(Counter(first).values())
-        member_bits = [1 << v for v in firsts]
-        class_bits = [1 << j for j in range(len(firsts))]
-        quotient_rows = tuple(
-            sum(compress(class_bits, map(rows[v].__and__, member_bits))) for v in firsts
-        )
-        components, sides = _layers(quotient_rows)
-        # One more component for each extra member of a class with no edge.
-        components += sum(size - 1 for row, size in zip(quotient_rows, sizes) if not row)
-        degrees = tuple([rows[v].bit_count() for v in firsts])
-        return _Twins(first, firsts, sizes, degrees, quotient_rows, components, sides)
+    One BFS of the quotient per component gives the component count of
+    G and the quotient's even and odd sides. G has one more component
+    for each extra member of a class with no edge.
+    """
+    components, sides = _layers(rows)
+    components += sum(size - 1 for row, size in zip(rows, sizes) if not row)
+    return Quotient(rows, sizes, degrees, components, sides)
 
-    # -- connectivity ----------------------------------------------------
 
-    def is_connected(self) -> bool:
-        return self._twins.components == 1
+# -- invariants of G, read off its weighted quotient ------------------------
 
-    # -- distances -------------------------------------------------------
 
-    def diameter(self) -> int | float:
-        """Largest shortest-path distance, INFINITE if disconnected.
+def edge_count(q: Quotient) -> int:
+    """Half the degree sum, taken once per twin class."""
+    return sum(map(mul, q.sizes, q.degrees)) // 2
 
-        Read off the false-twin quotient: a path between classes lifts
-        to one between any of their members, and two twins of a
-        connected graph with n >= 2 share a neighbor but no edge, so
-        they sit at distance 2. The diameter is the quotient's, one less
-        than the most BFS layers from any class, raised to 2 when some
-        class has two or more members. Each BFS stops once every class
-        is seen, so on a complete quotient of t classes it reads only
-        its source's row: t rows in all.
-        """
-        twins = self._twins
-        if twins.components != 1:
-            return INFINITE
-        rows = twins.rows
-        best = max(len(_bfs(rows, s)) for s in range(len(rows))) - 1
-        return max(best, 2) if max(twins.sizes) > 1 else best
 
-    def girth(self) -> int | float:
-        """Length of a shortest cycle, INFINITE when the graph is a forest.
+def is_connected(q: Quotient) -> bool:
+    return q.components == 1
 
-        Read off the false-twin quotient. Classes are independent sets,
-        so every triangle of G is one of G/≡. Two twins with two common
-        neighbors close a 4-cycle. Otherwise every class with two or
-        more members has at most one neighbor and lies on no cycle, so
-        the cycles of G are those of G/≡.
-        """
-        twins = self._twins
-        twin_cycle = any(s > 1 and d > 1 for s, d in zip(twins.sizes, twins.degrees))
-        return min(_girth(twins.rows), 4 if twin_cycle else INFINITE)
 
-    # -- colorability ----------------------------------------------------
+def diameter(q: Quotient) -> int | float:
+    """Largest shortest-path distance of G, INFINITE if disconnected.
 
-    def is_bipartite(self) -> bool:
-        """Two-colorable by BFS depth parity, decided on G/≡.
+    A path between classes lifts to one between any of their members,
+    and two twins of a connected graph with n >= 2 share a neighbor but
+    no edge, so they sit at distance 2. The diameter is the quotient's,
+    one less than the most BFS layers from any class, raised to 2 when
+    some class has two or more members. Each BFS stops once every class
+    is seen, so on a complete quotient of t classes it reads only its
+    source's row: t rows in all.
+    """
+    if q.components != 1:
+        return INFINITE
+    rows = q.rows
+    best = max(len(_bfs(rows, s)) for s in range(len(rows))) - 1
+    return max(best, 2) if max(q.sizes) > 1 else best
 
-        Twins are never adjacent, so each can take its class's color.
-        """
-        rows, sides = self._twins.rows, self._twins.sides
-        return not any(rows[v] & side for side in sides for v in _iter_bits(side))
 
-    # -- structure -------------------------------------------------------
+def girth(q: Quotient) -> int | float:
+    """Length of a shortest cycle of G, INFINITE when G is a forest.
 
-    def partite_count(self) -> int:
-        """Number of distinct rows, i.e. of false-twin classes.
+    Classes are independent sets, so every triangle of G is one of the
+    quotient. Two twins with two common neighbors close a 4-cycle.
+    Otherwise every class with two or more members has at most one
+    neighbor and lies on no cycle, so the cycles of G are the quotient's.
+    """
+    twin_cycle = any(s > 1 and d > 1 for s, d in zip(q.sizes, q.degrees))
+    return min(_girth(q.rows), 4 if twin_cycle else INFINITE)
 
-        Vertices sharing their row share their closed non-neighborhood
-        too, and those classes are the parts whenever the graph is
-        complete multipartite.
-        """
-        return len(self._twins.firsts)
+
+def is_bipartite(q: Quotient) -> bool:
+    """Two-colorable by the quotient's BFS depth parity.
+
+    Twins are never adjacent, so each can take its class's color.
+    """
+    rows = q.rows
+    return not any(rows[v] & side for side in q.sides for v in _iter_bits(side))
+
+
+def partite_count(q: Quotient) -> int:
+    """Number of false-twin classes, i.e. of distinct rows of G.
+
+    Vertices sharing their row share their closed non-neighborhood
+    too, and those classes are the parts whenever G is complete
+    multipartite.
+    """
+    return len(q.rows)
 
 
 def _bfs(rows: tuple[int, ...], source: int) -> list[int]:
@@ -330,10 +302,10 @@ def build(n: int, limit: int = DEFAULT_BUILD_LIMIT) -> IndependentGraph:
     return IndependentGraph(n, tuple(map(row_of.__getitem__, orders)), tuple(orders))
 
 
-def verify_complete_multipartite(graph: IndependentGraph) -> bool:
+def verify_complete_multipartite(graph: IndependentGraph, twins: Twins) -> bool:
     """Check adjacency == "different order" for every vertex pair.
 
-    Read from the rows, the orders and the twin record `_twins`.
+    Read from the rows, the orders and `twins`, the graph's twin classes.
     Let C be a twin class with first member f and N = full ^ rows[f].
     When no row holds its own vertex, C lies in N; the classes cover the
     n vertices once, so the sizes of the N add up to n exactly when each
@@ -351,7 +323,7 @@ def verify_complete_multipartite(graph: IndependentGraph) -> bool:
     row is shifted per vertex.
     """
     n, rows, orders = graph.n, graph.rows, graph.orders
-    first, firsts = graph._twins.first, graph._twins.firsts
+    first, firsts = twins.first, twins.firsts
     full = (1 << n) - 1
     bits_of = {f: format(rows[f], f"0{n}b")[::-1] for f in firsts}
     diagonal = "".join(map(getitem, _pick(bits_of, first), range(n)))
@@ -466,17 +438,19 @@ def _k_coloring(rows: tuple[int, ...], k: int) -> list[int] | None:
     return colors if place(0, 0) else None
 
 
-def chromatic_number(graph: IndependentGraph, limit: int = DEFAULT_EXACT_SEARCH_LIMIT) -> int:
-    """Exact chromatic number, from the rows of the false-twin quotient.
+def chromatic_number(q: Quotient, limit: int = DEFAULT_EXACT_SEARCH_LIMIT) -> int:
+    """Exact chromatic number of G, from the rows of its quotient.
 
     Twins are never adjacent and can share a color, so chi(G) equals
     chi(G/≡). A greedy clique (the lowest class left, then only its
     neighbors) bounds chi from below and the greedy color classes from
-    above; `_k_coloring` tries only the k between the two.
+    above; `_k_coloring` tries only the k between the two. The limit
+    bounds n, the sum of the class sizes.
     """
-    if graph.n > limit:
-        raise CapacityError(f"n={graph.n} exceeds the exact search limit {limit}")
-    rows = graph._twins.rows
+    n = sum(q.sizes)
+    if n > limit:
+        raise CapacityError(f"n={n} exceeds the exact search limit {limit}")
+    rows = q.rows
     full = (1 << len(rows)) - 1
     lower, rest = 0, full
     while rest:
@@ -502,7 +476,11 @@ def find_hamiltonian_cycle(
     exists. Two generic pruning rules keep refutation fast: every
     unvisited vertex needs two usable connections, and any independent
     set found inside the unvisited region can occupy at most every
-    other position of the remaining path.
+    other position of the remaining path. Neither rule cuts a branch
+    that a cycle completes, and 0's neighbors are tried lowest first,
+    so the cycle found first has the lowest second vertex of any
+    Hamiltonian cycle. Its last vertex is the second vertex of its
+    reverse, also a Hamiltonian cycle, so it is the higher of the two.
     """
     if graph.n > limit:
         raise CapacityError(
@@ -545,11 +523,7 @@ def find_hamiltonian_cycle(
             path.pop()
         return False
 
-    if not extend(0, 1):
-        return None
-    if path[1] > path[-1]:
-        return (0, *reversed(path[1:]))
-    return tuple(path)
+    return tuple(path) if extend(0, 1) else None
 
 
 # -- aggregate ------------------------------------------------------------
@@ -562,15 +536,23 @@ def invariants(
 ) -> InvariantSet:
     """Every fact the oracle can afford, read off the graph.
 
-    A search beyond its limit (clique and chromatic number, or a
-    Hamiltonian cycle) is declined: its fields and its tier are None.
+    The graph's rows are grouped once into its twin classes, which
+    `verify_complete_multipartite` checks against the orders; every
+    other fact but the clique and the Hamiltonian cycle is read off the
+    weighted quotient. A search beyond its limit (clique and chromatic
+    number, or a Hamiltonian cycle) is declined: its fields and its tier
+    are None.
     """
     n = graph.n
+    record = twins(graph)
+    multipartite = verify_complete_multipartite(graph, record)
+    q = record.quotient
     # Twins share their degree, so the profile is counted once per class.
     counts: Counter[int] = Counter()
-    for size, degree in zip(graph._twins.sizes, graph._twins.degrees):
+    for size, degree in zip(q.sizes, q.degrees):
         counts[degree] += size
-    edge_count = graph.edge_count()
+    degrees = _pick(dict(zip(record.firsts, q.degrees)), record.first)
+    edges = edge_count(q)
     order_classes = sorted(Counter(graph.orders).items())
     # 2a = 0 exactly when o(a) divides 2; gcd(a, n) = 1 exactly when o(a) = n.
     involutions = sum(size for d, size in order_classes if d <= 2)
@@ -578,7 +560,7 @@ def invariants(
     clique_vertices = chromatic = exact_tier = None
     if n <= exact_limit:
         clique_vertices = max_clique(graph, limit=exact_limit)
-        chromatic = chromatic_number(graph, limit=exact_limit)
+        chromatic = chromatic_number(q, limit=exact_limit)
         exact_tier = ORACLE
     cycle = hamiltonian = hamiltonian_tier = None
     if n <= hamiltonian_limit:
@@ -590,18 +572,18 @@ def invariants(
         tier=ORACLE,
         involutions=involutions,
         neither=neither,
-        edge_count=edge_count,
+        edge_count=edges,
         degree_counts=tuple(sorted(counts.items(), reverse=True)),
         order_classes=tuple(order_classes),
-        degree_items=tuple(zip(range(n), graph.orders, graph.degrees(), repeat(1))),
-        connected=graph.is_connected(),
-        complete=edge_count == n * (n - 1) // 2,
+        degree_items=tuple(zip(range(n), graph.orders, degrees, repeat(1))),
+        connected=is_connected(q),
+        complete=edges == n * (n - 1) // 2,
         star=is_star_profile(n, counts),
-        girth=graph.girth(),
-        diameter=graph.diameter(),
-        bipartite=graph.is_bipartite(),
-        partite_count=graph.partite_count(),
-        multipartite=verify_complete_multipartite(graph),
+        girth=girth(q),
+        diameter=diameter(q),
+        bipartite=is_bipartite(q),
+        partite_count=partite_count(q),
+        multipartite=multipartite,
         exact_tier=exact_tier,
         clique_number=None if clique_vertices is None else len(clique_vertices),
         clique_vertices=clique_vertices,

@@ -230,19 +230,19 @@ def whole_text_dot(graph, label_orders=False):
             lines.append(f'  {v} [label="{v} o={graph.orders[v]}"];')
         else:
             lines.append(f"  {v};")
-    lines.extend(f"  {a} -- {b};" for a, b in graph.edges())
+    lines.extend(f"  {a} -- {b};" for a, b in cli.edges(graph))
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def whole_text_edgelist(graph):
-    return "".join(f"{a} {b}\n" for a, b in graph.edges())
+    return "".join(f"{a} {b}\n" for a, b in cli.edges(graph))
 
 
 def test_export_bytes_match_the_whole_text_renderers(capsys):
     for n in range(2, 65):
         graph = oracle.build(n)
-        edges = [[a, b] for a, b in graph.edges()]
+        edges = [[a, b] for a, b in cli.edges(graph)]
         expected = {
             ("json",): json.dumps({"n": n, "edges": edges}) + "\n",
             ("edgelist",): whole_text_edgelist(graph),

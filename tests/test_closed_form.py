@@ -25,7 +25,8 @@ def test_edge_count_frozen_values():
 
 @given(moduli)
 def test_edge_count_matches_oracle(n):
-    assert closed_form.invariants(n).edge_count == oracle.build(n).edge_count()
+    q = oracle.twins(oracle.build(n)).quotient
+    assert closed_form.invariants(n).edge_count == oracle.edge_count(q)
 
 
 @given(moduli)
@@ -33,7 +34,8 @@ def test_degree_matches_oracle(n):
     # Each vertex is adjacent to everything outside its own order class.
     sizes = dict(closed_form.invariants(n).order_classes)
     expected = tuple(n - sizes[d] for d in naive_orders(n))
-    assert oracle.build(n).degrees() == expected
+    items = oracle.invariants(oracle.build(n), exact_limit=2, hamiltonian_limit=2).degree_items
+    assert tuple(degree for _, _, degree, _ in items) == expected
 
 
 # The InvariantSet fields that do not depend on the search limits.
@@ -71,12 +73,12 @@ def test_part_sizes_are_totients(n):
 
 @pytest.mark.parametrize("n", range(2, 120))
 def test_structure_flags_match_oracle(n):
-    graph = oracle.build(n)
+    q = oracle.twins(oracle.build(n)).quotient
     inv = closed_form.invariants(n)
-    assert inv.girth == graph.girth()
-    assert inv.diameter == graph.diameter()
-    assert inv.bipartite == graph.is_bipartite()
-    complete = graph.edge_count() == n * (n - 1) // 2
+    assert inv.girth == oracle.girth(q)
+    assert inv.diameter == oracle.diameter(q)
+    assert inv.bipartite == oracle.is_bipartite(q)
+    complete = oracle.edge_count(q) == n * (n - 1) // 2
     assert inv.complete == complete
 
 
@@ -97,8 +99,45 @@ def test_clique_chromatic_closure(n):
     graph = oracle.build(n)
     expected = closed_form.clique_chromatic_number(n)
     assert len(oracle.max_clique(graph)) == expected
-    assert oracle.chromatic_number(graph) == expected
+    assert oracle.chromatic_number(oracle.twins(graph).quotient) == expected
     assert expected == len(zn.divisors(n))
+
+
+def theorem_3_3_quotient(n):
+    """K_t with one class of size phi(d) per divisor d of n, whose members
+    have degree n - phi(d): the quotient Theorem 3.3 describes."""
+    sizes = tuple(phi for _, phi in zn.divisor_phis(n))
+    full = (1 << len(sizes)) - 1
+    rows = tuple(full ^ (1 << i) for i in range(len(sizes)))
+    return oracle.quotient(rows, sizes, tuple(n - size for size in sizes))
+
+
+def assert_closed_forms_match_the_theorem_3_3_quotient(n):
+    """The oracle's quotient functions, fed the quotient T3.3 gives, at any n.
+
+    This checks the closed forms' arithmetic given T3.3, far above the
+    build limit; T3.3 itself is checked by the oracle's multipartite
+    verification, up to the limit.
+    """
+    q = theorem_3_3_quotient(n)
+    inv = closed_form.invariants(n)
+    assert oracle.edge_count(q) == inv.edge_count
+    assert oracle.is_connected(q) == inv.connected
+    assert oracle.diameter(q) == inv.diameter
+    assert oracle.girth(q) == inv.girth
+    assert oracle.is_bipartite(q) == inv.bipartite
+    assert oracle.partite_count(q) == inv.partite_count
+    assert oracle.chromatic_number(q, limit=n) == inv.chromatic_number
+
+
+# 963761198400 and 530755139915304876 have 6720 and 5760 divisors; the
+# third smooth modulus, with 103,680, is checked in CI.
+@pytest.mark.parametrize("n", [
+    2, 3, 12, 10**9 + 7, 2 * 3 * 5 * 7 * 11 * 13, *SMOOTH_MODULI[:2],
+    963761198400, 530755139915304876,
+])
+def test_closed_forms_match_the_theorem_3_3_quotient(n):
+    assert_closed_forms_match_the_theorem_3_3_quotient(n)
 
 
 @pytest.mark.parametrize("n", range(2, 25))

@@ -1,11 +1,12 @@
 import ast
 import math
 import random
+from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from indegraph import oracle, zn
+from indegraph import cli, oracle, zn
 from indegraph.invariants import INFINITE
 
 from conftest import (
@@ -36,6 +37,25 @@ from conftest import (
 moduli = st.integers(min_value=2, max_value=80)
 
 
+def quotient_of(graph):
+    return oracle.twins(graph).quotient
+
+
+def vertex_degrees(twins):
+    """Each vertex's degree, read off its class in the twin record."""
+    degree_of = dict(zip(twins.firsts, twins.quotient.degrees))
+    return tuple(degree_of[f] for f in twins.first)
+
+
+def verified(graph):
+    return oracle.verify_complete_multipartite(graph, oracle.twins(graph))
+
+
+def edges_bit_by_bit(rows):
+    return [(a, b) for a in range(len(rows)) for b in range(a + 1, len(rows))
+            if rows[a] >> b & 1]
+
+
 @given(moduli)
 def test_adjacency_matches_definition(n):
     graph = oracle.build(n)
@@ -49,37 +69,38 @@ def test_adjacency_matches_definition(n):
 def test_edges_sorted_and_complete():
     for n in range(2, 40):
         graph = oracle.build(n)
-        edges = list(graph.edges())
+        edges = list(cli.edges(graph))
         assert edges == sorted(edges)
         assert edges == naive_edges(n)
-        assert graph.edge_count() == len(edges)
+        assert oracle.edge_count(quotient_of(graph)) == len(edges)
 
 
 @given(moduli)
 def test_degrees(n):
     graph = oracle.build(n)
-    degs = graph.degrees()
+    items = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2).degree_items
+    degs = [degree for _, _, degree, _ in items]
     for a in range(n):
         assert degs[a] == naive_degree(a, n)
     # handshake
-    assert sum(degs) == 2 * graph.edge_count()
+    assert sum(degs) == 2 * oracle.edge_count(quotient_of(graph))
 
 
 def test_connected_always():
     for n in range(2, 60):
-        assert oracle.build(n).is_connected()
+        assert oracle.is_connected(quotient_of(oracle.build(n)))
 
 
 def test_girth_small_values():
-    assert oracle.build(2).girth() == INFINITE
-    assert oracle.build(7).girth() == INFINITE  # star
-    assert oracle.build(4).girth() == 3
-    assert oracle.build(9).girth() == 3
+    assert oracle.girth(quotient_of(oracle.build(2))) == INFINITE
+    assert oracle.girth(quotient_of(oracle.build(7))) == INFINITE  # star
+    assert oracle.girth(quotient_of(oracle.build(4))) == 3
+    assert oracle.girth(quotient_of(oracle.build(9))) == 3
 
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_girth_matches_edge_deletion_bfs(n):
-    assert oracle.build(n).girth() == naive_girth(n)
+    assert oracle.girth(quotient_of(oracle.build(n))) == naive_girth(n)
 
 
 def graph_of(n, edges):
@@ -132,7 +153,7 @@ TWIN_GIRTHS = [
 @pytest.mark.parametrize("n, edges, expected", GENERIC_GIRTHS + TWIN_GIRTHS)
 def test_girth_of_generic_graphs(n, edges, expected):
     graph = graph_of(n, edges)
-    assert graph.girth() == expected
+    assert oracle.girth(quotient_of(graph)) == expected
     assert naive_girth_of_rows(graph.rows) == expected
 
 
@@ -144,9 +165,10 @@ def test_girth_of_generic_graphs(n, edges, expected):
 ])
 @pytest.mark.parametrize("girth_first", [False, True])
 def test_disconnected_graphs(n, edges, expected, girth_first):
-    # Every query reads one cached false-twin quotient; the order they
-    # run in must not matter.
+    # Every query reads one quotient record; the order they run in must
+    # not matter.
     graph = graph_of(n, edges)
+    q = quotient_of(graph)
     queries = [
         ("is_connected", False),
         ("girth", expected),
@@ -154,31 +176,19 @@ def test_disconnected_graphs(n, edges, expected, girth_first):
         ("is_bipartite", naive_bipartite_of_rows(graph.rows)),
     ]
     for name, value in reversed(queries) if girth_first else queries:
-        assert getattr(graph, name)() == value
+        assert getattr(oracle, name)(q) == value
 
 
 @pytest.mark.parametrize("n, searches", [(1680, 1), (20000, 1), (19997, 2)])
 def test_girth_stops_at_a_triangle_or_the_last_class(monkeypatch, n, searches):
     # 1680 and 20000 have a complete quotient, so the first BFS finds a
     # triangle. The prime 19997 has two classes and no cycle.
-    graph = oracle.build(n)
-    graph._twins  # building the quotient runs `_bfs` too
+    q = quotient_of(oracle.build(n))  # building the quotient runs `_bfs` too
     calls = []
     bfs = oracle._bfs
     monkeypatch.setattr(oracle, "_bfs", lambda rows, s: calls.append(s) or bfs(rows, s))
-    graph.girth()
+    oracle.girth(q)
     assert len(calls) == searches
-
-
-@pytest.mark.parametrize("n", [2, 12, 97, 1680, 20000])
-def test_invariants_never_list_the_edges(monkeypatch, n):
-    expected = oracle.invariants(oracle.build(n))
-
-    def refuse(self):
-        raise AssertionError("edges() called")
-
-    monkeypatch.setattr(oracle.IndependentGraph, "edges", refuse)
-    assert oracle.invariants(oracle.build(n)) == expected
 
 
 @st.composite
@@ -197,18 +207,20 @@ def random_graphs(draw, triangle_free=False):
 
 @given(st.one_of(random_graphs(), random_graphs(triangle_free=True)))
 def test_girth_of_random_graphs_matches_edge_deletion_bfs(graph):
-    assert graph.girth() == naive_girth_of_rows(graph.rows)
+    assert oracle.girth(quotient_of(graph)) == naive_girth_of_rows(graph.rows)
 
 
 def assert_matches_row_references(graph):
     """Every fact read off the false-twin quotient, against the definitions."""
     rows = graph.rows
-    assert graph.degrees() == tuple(row.bit_count() for row in rows)
-    assert graph.is_connected() == (naive_component_count_of_rows(rows) == 1)
-    assert graph.diameter() == naive_diameter_of_rows(rows)
-    assert graph.is_bipartite() == naive_bipartite_of_rows(rows)
-    assert graph.partite_count() == len(set(rows))
-    assert graph.girth() == naive_girth_of_rows(rows)
+    twins = oracle.twins(graph)
+    q = twins.quotient
+    assert vertex_degrees(twins) == tuple(row.bit_count() for row in rows)
+    assert oracle.is_connected(q) == (naive_component_count_of_rows(rows) == 1)
+    assert oracle.diameter(q) == naive_diameter_of_rows(rows)
+    assert oracle.is_bipartite(q) == naive_bipartite_of_rows(rows)
+    assert oracle.partite_count(q) == len(set(rows))
+    assert oracle.girth(q) == naive_girth_of_rows(rows)
 
 
 # Hand-made graphs with twins: isolated twins, twin sides of K_{2,3},
@@ -231,10 +243,11 @@ TWIN_GRAPHS = [
 @pytest.mark.parametrize("n, edges, connected, diameter, parts", TWIN_GRAPHS)
 def test_quotient_of_hand_made_graphs(n, edges, connected, diameter, parts):
     graph = graph_of(n, edges)
-    assert graph.is_connected() is connected
-    assert graph.diameter() == diameter
-    assert graph.is_bipartite()
-    assert graph.partite_count() == parts
+    q = quotient_of(graph)
+    assert oracle.is_connected(q) is connected
+    assert oracle.diameter(q) == diameter
+    assert oracle.is_bipartite(q)
+    assert oracle.partite_count(q) == parts
     assert_matches_row_references(graph)
 
 
@@ -267,14 +280,9 @@ def test_quotient_of_twin_blowups_matches_definitions(graph):
     assert_matches_row_references(graph)
 
 
-def edges_bit_by_bit(rows):
-    return [(a, b) for a in range(len(rows)) for b in range(a + 1, len(rows))
-            if rows[a] >> b & 1]
-
-
 @given(st.one_of(random_graphs(), twin_blowups()))
 def test_edges_of_any_rows_match_a_bit_by_bit_scan(graph):
-    assert list(graph.edges()) == edges_bit_by_bit(graph.rows)
+    assert list(cli.edges(graph)) == edges_bit_by_bit(graph.rows)
 
 
 @pytest.mark.parametrize("n", [63, 64, 65, 300])
@@ -283,22 +291,23 @@ def test_edges_of_wide_random_rows_match_a_bit_by_bit_scan(n):
     rng = random.Random(n)
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < 0.3]
     graph = graph_of(n, pairs + [(a, n - 1) for a in range(n - 1)])
-    assert list(graph.edges()) == edges_bit_by_bit(graph.rows)
+    assert list(cli.edges(graph)) == edges_bit_by_bit(graph.rows)
 
 
 @given(twin_blowups())
 def test_twin_record_fields_match_their_definitions(graph):
-    n, rows, twins = graph.n, graph.rows, graph._twins
+    n, rows, twins = graph.n, graph.rows, oracle.twins(graph)
+    q = twins.quotient
     assert twins.first == [min(u for u in range(n) if rows[u] == rows[v]) for v in range(n)]
     assert twins.firsts == sorted(set(twins.first))
-    assert twins.sizes == tuple(twins.first.count(f) for f in twins.firsts)
-    assert twins.degrees == tuple(rows[f].bit_count() for f in twins.firsts)
-    assert twins.rows == tuple(
+    assert q.sizes == tuple(twins.first.count(f) for f in twins.firsts)
+    assert q.degrees == tuple(rows[f].bit_count() for f in twins.firsts)
+    assert q.rows == tuple(
         sum(1 << j for j, g in enumerate(twins.firsts) if rows[f] >> g & 1)
         for f in twins.firsts
     )
-    assert twins.components == unreduced_component_count(rows)
-    even, odd = twins.sides
+    assert q.components == unreduced_component_count(rows)
+    even, odd = q.sides
     assert even & odd == 0
     assert even | odd == (1 << len(twins.firsts)) - 1
 
@@ -330,8 +339,8 @@ def test_diameter_of_1680_expands_at_most_two_classes_per_class(monkeypatch):
     # 1680 has 40 order classes, and its quotient is K_40: each BFS is
     # done once its source's row is read. A BFS that expands every layer
     # reads all 40 rows from each source, 1600 in all.
-    graph = oracle.build(1680)
-    assert len(graph._twins.rows) == 40
+    q = quotient_of(oracle.build(1680))
+    assert len(q.rows) == 40
     expanded = []
     iter_bits = oracle._iter_bits
 
@@ -341,7 +350,7 @@ def test_diameter_of_1680_expands_at_most_two_classes_per_class(monkeypatch):
             yield v
 
     monkeypatch.setattr(oracle, "_iter_bits", counted)
-    assert graph.diameter() == 2
+    assert oracle.diameter(q) == 2
     assert len(expanded) <= 2 * 40
 
 
@@ -360,7 +369,45 @@ def test_coloring_of_twin_blowups_matches_full_graph_search(graph):
     unreduced = next(
         k for k in range(1, graph.n + 1) if oracle._k_coloring(graph.rows, k) is not None
     )
-    assert oracle.chromatic_number(graph) == unreduced
+    assert oracle.chromatic_number(quotient_of(graph)) == unreduced
+
+
+# Part sizes s_1..s_t of K_{s_1..s_t} with n = s_1 + ... + s_t <= 40: a
+# list of sizes up to 20, cut where the running total passes 40.
+part_sizes = st.lists(st.integers(min_value=1, max_value=20), min_size=1, max_size=12).map(
+    lambda sizes: [s for s, total in zip(sizes, accumulate(sizes)) if total <= 40]
+)
+
+
+# C4 = K_{2,2} closes a cycle only through the twin rule, at degree 2;
+# K_{1,1} is an edge and K_3 three isolated vertices.
+@example([2, 2])
+@example([1, 1])
+@example([3])
+@given(part_sizes)
+def test_quotient_functions_of_complete_multipartite_graphs_match_full_graph_references(sizes):
+    # Part i is a run of vertices, so twins(graph) lists it as class i,
+    # and its part label is its members' order.
+    n, t = sum(sizes), len(sizes)
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    masks = [sum(1 << v for v in range(n) if part[v] == i) for i in range(t)]
+    rows = tuple(((1 << n) - 1) ^ masks[i] for i in part)
+    graph = oracle.IndependentGraph(n, rows, tuple(part))
+    q = oracle.quotient(
+        tuple(((1 << t) - 1) ^ (1 << i) for i in range(t)),
+        tuple(sizes),
+        tuple(n - size for size in sizes),
+    )
+    assert oracle.twins(graph).quotient == q
+    assert verified(graph)
+    assert oracle.edge_count(q) == len(edges_bit_by_bit(rows))
+    assert oracle.is_connected(q) == (unreduced_component_count(rows) == 1)
+    assert oracle.diameter(q) == unreduced_diameter(rows)
+    assert oracle.girth(q) == unreduced_girth(rows)
+    assert oracle.is_bipartite(q) == unreduced_bipartite(rows)
+    assert oracle.partite_count(q) == len(set(rows))
+    unreduced = next(k for k in range(1, n + 1) if oracle._k_coloring(rows, k) is not None)
+    assert oracle.chromatic_number(q) == unreduced
 
 
 def mycielskian(n, edges):
@@ -399,18 +446,18 @@ def test_exact_searches_where_clique_number_is_below_chromatic_number(
     monkeypatch, n, edges, girth, omega, chi, tried
 ):
     graph = graph_of(n, edges)
-    assert graph.girth() == naive_girth_of_rows(graph.rows) == girth
+    assert oracle.girth(quotient_of(graph)) == naive_girth_of_rows(graph.rows) == girth
     ladder = next(k for k in range(1, n + 1) if oracle._k_coloring(graph.rows, k) is not None)
     assert ladder == chi
     colors = oracle._k_coloring(graph.rows, chi)
-    assert all(colors[a] != colors[b] for a, b in graph.edges())
+    assert all(colors[a] != colors[b] for a, b in edges_bit_by_bit(graph.rows))
 
     clique = oracle.max_clique(graph)
     assert len(clique) == omega
     assert all(graph.rows[a] >> b & 1 for a in clique for b in clique if a != b)
 
     counted = count_k_colorings(monkeypatch)
-    assert oracle.chromatic_number(graph) == chi
+    assert oracle.chromatic_number(quotient_of(graph)) == chi
     assert counted == tried
 
 
@@ -424,7 +471,8 @@ def test_crown_graph_is_two_colored_by_the_ladder(monkeypatch):
     assert order == list(range(8)) and colors == [1, 1, 2, 2, 3, 3, 4, 4]
     assert len(oracle.max_clique(graph)) == 2
     counted = count_k_colorings(monkeypatch)
-    assert oracle.chromatic_number(graph) == naive_chromatic_number_of_rows(graph.rows) == 2
+    chi = naive_chromatic_number_of_rows(graph.rows)
+    assert oracle.chromatic_number(quotient_of(graph)) == chi == 2
     assert counted == [2]
 
 
@@ -437,41 +485,44 @@ def test_exact_searches_of_random_graphs_match_brute_force(graph):
     clique = oracle.max_clique(graph)
     assert all(graph.rows[a] >> b & 1 for a in clique for b in clique if a != b)
     assert len(clique) == naive_clique_number_of_rows(graph.rows)
-    assert oracle.chromatic_number(graph) == naive_chromatic_number_of_rows(graph.rows)
+    chi = naive_chromatic_number_of_rows(graph.rows)
+    assert oracle.chromatic_number(quotient_of(graph)) == chi
 
 
 def test_quotient_matches_full_graph_searches_across_the_family():
     for n in range(2, 1025):
         graph = oracle.build(n)
         rows, full = graph.rows, (1 << n) - 1
-        assert graph.degrees() == tuple(row.bit_count() for row in rows), n
-        assert graph.is_connected() == (unreduced_component_count(rows) == 1), n
-        assert graph.diameter() == unreduced_diameter(rows), n
-        assert graph.is_bipartite() == unreduced_bipartite(rows), n
-        assert graph.partite_count() == len({full ^ row for row in rows}), n
-        assert graph.girth() == unreduced_girth(rows), n
+        twins = oracle.twins(graph)
+        q = twins.quotient
+        assert vertex_degrees(twins) == tuple(row.bit_count() for row in rows), n
+        assert oracle.is_connected(q) == (unreduced_component_count(rows) == 1), n
+        assert oracle.diameter(q) == unreduced_diameter(rows), n
+        assert oracle.is_bipartite(q) == unreduced_bipartite(rows), n
+        assert oracle.partite_count(q) == len({full ^ row for row in rows}), n
+        assert oracle.girth(q) == unreduced_girth(rows), n
 
 
 @pytest.mark.parametrize("n", range(2, 41))
 def test_diameter_matches_floyd_warshall(n):
-    assert oracle.build(n).diameter() == naive_diameter(n)
+    assert oracle.diameter(quotient_of(oracle.build(n))) == naive_diameter(n)
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_bipartite_matches_two_colorings(n):
-    assert oracle.build(n).is_bipartite() == naive_bipartite(n)
+    assert oracle.is_bipartite(quotient_of(oracle.build(n))) == naive_bipartite(n)
 
 
 def test_bipartite_prime_vs_composite():
     for n in (2, 3, 5, 7, 11, 13, 31):
-        assert oracle.build(n).is_bipartite()
+        assert oracle.is_bipartite(quotient_of(oracle.build(n)))
     for n in (4, 6, 8, 9, 10, 12, 30):
-        assert not oracle.build(n).is_bipartite()
+        assert not oracle.is_bipartite(quotient_of(oracle.build(n)))
 
 
 @given(moduli)
 def test_partite_count_is_divisor_count(n):
-    assert oracle.build(n).partite_count() == len(zn.divisors(n))
+    assert oracle.partite_count(quotient_of(oracle.build(n))) == len(zn.divisors(n))
 
 
 def test_complete_multipartite_structure():
@@ -480,12 +531,12 @@ def test_complete_multipartite_structure():
         # the check reads graph.orders; this keeps an independent reference
         assert graph.orders == naive_orders(n), n
         assert graph.rows == per_vertex_rows(n), n
-        assert oracle.verify_complete_multipartite(graph), n
+        assert verified(graph), n
     # the most classes (1680, 15120), a prime square, a prime, and the build limit
     for n in [1680, 15120, 19321, 19997, 20000]:
         graph = oracle.build(n)
         assert graph.rows == per_vertex_rows(n), n
-        assert oracle.verify_complete_multipartite(graph), n
+        assert verified(graph), n
 
 
 def _doctored(n, change):
@@ -562,7 +613,7 @@ def _without_edge_0_1(rows, full):
     ],
 )
 def test_verify_multipartite_detects_deviation(n, change):
-    assert not oracle.verify_complete_multipartite(_doctored(n, change))
+    assert not verified(_doctored(n, change))
 
 
 def test_verify_multipartite_holds_under_a_vertex_permutation():
@@ -574,7 +625,7 @@ def test_verify_multipartite_holds_under_a_vertex_permutation():
     )
     orders = tuple(base.orders[perm[i]] for i in range(30))
     assert orders != base.orders
-    assert oracle.verify_complete_multipartite(oracle.IndependentGraph(30, rows, orders))
+    assert verified(oracle.IndependentGraph(30, rows, orders))
 
 
 def test_verify_multipartite_reads_the_graphs_own_orders():
@@ -582,17 +633,15 @@ def test_verify_multipartite_reads_the_graphs_own_orders():
     # One order changed under the built rows: 1 now claims order 6, like 2.
     orders = list(base.orders)
     orders[1] = 6
-    assert not oracle.verify_complete_multipartite(
-        oracle.IndependentGraph(12, base.rows, tuple(orders))
-    )
+    assert not verified(oracle.IndependentGraph(12, base.rows, tuple(orders)))
     # A hand-built copy in new tuples verifies like the built graph.
     copy = oracle.IndependentGraph(12, tuple(list(base.rows)), tuple(list(base.orders)))
     assert copy.rows is not base.rows and copy.orders is not base.orders
-    assert oracle.verify_complete_multipartite(copy)
+    assert verified(copy)
     # Nothing of one modulus reaches the next.
     for n, m in [(12, 30), (30, 12), (1680, 1693), (1693, 1680)]:
         oracle.build(n)
-        assert oracle.verify_complete_multipartite(oracle.build(m)), (n, m)
+        assert verified(oracle.build(m)), (n, m)
 
 
 @pytest.mark.parametrize("n", [12, 60, 1680])
@@ -607,8 +656,8 @@ def test_quotient_groups_rows_by_value_not_by_object(n):
     for a, b in twins:
         assert shared.rows[a] is shared.rows[b]
         assert apart.rows[a] is not apart.rows[b]
-    assert apart._twins == shared._twins
-    assert len(apart._twins.rows) == shared.partite_count()
+    assert oracle.twins(apart) == oracle.twins(shared)
+    assert oracle.partite_count(quotient_of(apart)) == len(set(shared.rows))
 
 
 @st.composite
@@ -679,19 +728,19 @@ def test_twins_and_verify_of_rows_in_mixed_objects_match_value_references(graph)
     rows = graph.rows
     index: dict[int, int] = {}
     first = [index.setdefault(row, v) for v, row in enumerate(rows)]
-    twins = graph._twins
+    twins = oracle.twins(graph)
     assert twins.first == first
     assert twins.firsts == list(index.values())
-    assert twins.sizes == tuple(first.count(f) for f in index.values())
-    assert graph.degrees() == tuple(row.bit_count() for row in rows)
-    assert oracle.verify_complete_multipartite(graph) == per_vertex_multipartite(
+    assert twins.quotient.sizes == tuple(first.count(f) for f in index.values())
+    assert vertex_degrees(twins) == tuple(row.bit_count() for row in rows)
+    assert oracle.verify_complete_multipartite(graph, twins) == per_vertex_multipartite(
         rows, graph.orders
     )
 
 
 def test_verify_multipartite_of_one_vertex():
-    assert oracle.verify_complete_multipartite(oracle.IndependentGraph(1, (0,), (1,)))
-    assert not oracle.verify_complete_multipartite(oracle.IndependentGraph(1, (1,), (1,)))
+    assert verified(oracle.IndependentGraph(1, (0,), (1,)))
+    assert not verified(oracle.IndependentGraph(1, (1,), (1,)))
 
 
 def test_degree_items_list_every_vertex_in_order():
@@ -729,7 +778,7 @@ def test_clique_number_is_divisor_count_up_to_64():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_chromatic_matches_exhaustive(n):
-    assert oracle.chromatic_number(oracle.build(n)) == naive_chromatic_number(n)
+    assert oracle.chromatic_number(quotient_of(oracle.build(n))) == naive_chromatic_number(n)
 
 
 def test_chromatic_is_divisor_count_up_to_64(monkeypatch):
@@ -738,7 +787,7 @@ def test_chromatic_is_divisor_count_up_to_64(monkeypatch):
     counted = count_k_colorings(monkeypatch)
     for n in range(2, 65):
         graph = oracle.build(n)
-        assert oracle.chromatic_number(graph) == len(zn.divisors(n))
+        assert oracle.chromatic_number(quotient_of(graph)) == len(zn.divisors(n))
     assert counted == []
 
 
@@ -848,7 +897,7 @@ def test_capacity_errors_are_typed():
     with pytest.raises(oracle.CapacityError):
         oracle.max_clique(graph)
     with pytest.raises(oracle.CapacityError):
-        oracle.chromatic_number(graph)
+        oracle.chromatic_number(quotient_of(graph))
     with pytest.raises(oracle.CapacityError):
         oracle.find_hamiltonian_cycle(graph)
 
@@ -857,7 +906,7 @@ def test_invariants_aggregator_limits():
     graph = oracle.build(30)
     inv = oracle.invariants(graph)
     assert inv.n == 30
-    assert inv.edge_count == graph.edge_count()
+    assert inv.edge_count == oracle.edge_count(quotient_of(graph))
     assert inv.clique_number == 8 and inv.chromatic_number == 8
     assert inv.hamiltonian is None  # 30 > hamiltonian limit
     small = oracle.invariants(oracle.build(6))
@@ -906,6 +955,7 @@ def test_oracle_imports_neither_closed_forms_nor_claims():
             imported.add(node.module or "")
             imported.update(f"{node.module}.{alias.name}" for alias in node.names)
     assert imported
+    # Nor the CLI, whose `edges` lists the edges for export: no
+    # invariant lists them.
     for name in imported:
-        assert "closed_form" not in name.split("."), name
-        assert "claims" not in name.split("."), name
+        assert not {"closed_form", "claims", "cli"} & set(name.split(".")), name
