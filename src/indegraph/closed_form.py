@@ -56,7 +56,8 @@ def invariants(n: int) -> InvariantSet:
         edge_count=(n * n - sum([size * size * count for size, count in sizes])) // 2,
         degree_counts=degree_counts,
         order_classes=tuple(parts),
-        degree_items=None,
+        vertex_orders=None,
+        vertex_degrees=None,
         connected=True,
         # Only n = 2 has every class of size one.
         complete=n == 2,

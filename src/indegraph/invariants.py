@@ -110,12 +110,13 @@ class InvariantSet:
     degree_counts holds the degree profile as (degree, multiplicity)
     pairs in descending degree order, so the record stays tiny even when
     n has a billion vertices. order_classes holds (order d, class size
-    phi(d)) for each divisor d of n, ascending. degree_items holds
-    (vertex, order, degree, 1) for every vertex, from the oracle only:
-    the closed forms give every vertex of a class the same degree, so
-    their record leaves it None and order_classes stands in for it. The
-    witnesses clique_vertices and hamiltonian_cycle likewise come from
-    the oracle's searches only; the cycle is None when no cycle exists.
+    phi(d)) for each divisor d of n, ascending. vertex_orders and
+    vertex_degrees are two columns indexed by vertex, each vertex's
+    order and its degree, from the oracle only: the closed forms give
+    every vertex of a class the same degree, so their record leaves both
+    None and order_classes stands in for them. The witnesses
+    clique_vertices and hamiltonian_cycle likewise come from the
+    oracle's searches only; the cycle is None when no cycle exists.
     multipartite says whether adjacency is exactly "different order
     class", which the oracle checks from the rows and the closed forms
     take as given.
@@ -128,7 +129,8 @@ class InvariantSet:
     edge_count: int
     degree_counts: tuple[tuple[int, int], ...]
     order_classes: tuple[tuple[int, int], ...]
-    degree_items: tuple[tuple[int, int, int, int], ...] | None
+    vertex_orders: tuple[int, ...] | None
+    vertex_degrees: tuple[int, ...] | None
     connected: bool
     complete: bool
     star: bool

@@ -23,11 +23,14 @@ the K_t that Theorem 3.3 describes, one class of size phi(d) per
 divisor d, to the same functions far above the build limit.
 
 `invariants` reads only the graph it is given: the rows, and the orders
-`build` computed once per residue. The order classes and the involution
-and "neither" counts are counted off the orders; the multipartite check
-reads the rows, the orders and the twin classes, and nothing of how
-`build` made them. Nothing is asked of the number theory beyond the
-modulus check.
+`build` computed once per residue. The multipartite check reads the
+rows, the orders and the twin classes, and nothing of how `build` made
+them. When it holds, the twin classes are the order classes, which are
+then read off the twin record, one step per class; only an unverified
+graph has its orders counted one by one. The record's per-vertex
+columns are the graph's own orders and the class degrees spread over
+the vertices. Nothing is asked of the number theory beyond the modulus
+check.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from math import isqrt
 from operator import getitem, itemgetter, mul
 
@@ -539,7 +542,8 @@ def invariants(
     The graph's rows are grouped once into its twin classes, which
     `verify_complete_multipartite` checks against the orders; every
     other fact but the clique and the Hamiltonian cycle is read off the
-    weighted quotient. A search beyond its limit (clique and chromatic
+    weighted quotient, and so are the order classes once the check
+    holds. A search beyond its limit (clique and chromatic
     number, or a Hamiltonian cycle) is declined: its fields and its tier
     are None.
     """
@@ -551,9 +555,13 @@ def invariants(
     counts: Counter[int] = Counter()
     for size, degree in zip(q.sizes, q.degrees):
         counts[degree] += size
-    degrees = _pick(dict(zip(record.firsts, q.degrees)), record.first)
     edges = edge_count(q)
-    order_classes = sorted(Counter(graph.orders).items())
+    if multipartite:
+        # The twin classes are the order classes, so each class's order
+        # is its first member's.
+        order_classes = sorted(zip(_pick(graph.orders, record.firsts), q.sizes))
+    else:
+        order_classes = sorted(Counter(graph.orders).items())
     # 2a = 0 exactly when o(a) divides 2; gcd(a, n) = 1 exactly when o(a) = n.
     involutions = sum(size for d, size in order_classes if d <= 2)
     neither = sum(size for d, size in order_classes if 2 < d < n)
@@ -575,7 +583,8 @@ def invariants(
         edge_count=edges,
         degree_counts=tuple(sorted(counts.items(), reverse=True)),
         order_classes=tuple(order_classes),
-        degree_items=tuple(zip(range(n), graph.orders, degrees, repeat(1))),
+        vertex_orders=graph.orders,
+        vertex_degrees=_pick(dict(zip(record.firsts, q.degrees)), record.first),
         connected=is_connected(q),
         complete=edges == n * (n - 1) // 2,
         star=is_star_profile(n, counts),

@@ -522,7 +522,8 @@ def per_divisor_invariants(n: int) -> InvariantSet:
         edge_count=(n * n - sum(size * size for size in sizes)) // 2,
         degree_counts=tuple(sorted(counts.items(), reverse=True)),
         order_classes=tuple(zip(divs, sizes)),
-        degree_items=None,
+        vertex_orders=None,
+        vertex_degrees=None,
         connected=True,
         complete=complete,
         star=is_star_profile(n, counts),

@@ -85,8 +85,8 @@ def test_criterion_3_closed_forms_match_oracle():
         ok = ok and inv.edge_count == oracle.edge_count(q)
         sizes = dict(inv.order_classes)
         degs = tuple(n - sizes[d] for d in naive_orders(n))
-        items = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2).degree_items
-        ok = ok and degs == tuple(degree for _, _, degree, _ in items)
+        record = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2)
+        ok = ok and degs == record.vertex_degrees
         ok = ok and inv.girth == oracle.girth(q)
         ok = ok and inv.diameter == oracle.diameter(q)
         ok = ok and inv.bipartite == oracle.is_bipartite(q)

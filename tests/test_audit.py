@@ -31,7 +31,7 @@ from indegraph.audit import (
 )
 from indegraph.invariants import INFINITE
 
-from conftest import SMOOTH_MODULI, per_divisor_invariants
+from conftest import SMOOTH_MODULI, classify_residue, naive_degree, per_divisor_invariants
 
 
 def verdict(verdicts, theorem):
@@ -390,16 +390,45 @@ def test_closed_form_audit_matches_per_divisor_reference(n, config, monkeypatch)
         monkeypatch.setattr(audit, "ground_truth", lambda m, cfg: closed_form.invariants(m))
     verdicts = audit_n(n, config)
     assert {v.ground_truth for v in verdicts} == {"CLOSED_FORM"}
+    truth = per_divisor_invariants(n)
+    monkeypatch.setattr(audit, "ground_truth", lambda m, cfg: truth)
+    expected = audit_n(n, config)
+    # T2.7 from its own reference, not from the kind runs of audit._degrees.
+    expected[list(TheoremId).index(TheoremId.T2_7)] = per_class_degree_verdict(n, truth)
+    assert verdicts == expected
 
-    def reference(m, cfg):
-        # Per-item degrees make _degrees evaluate one claim per order
-        # class, the reference for the closed-form tier's kind runs.
-        truth = per_divisor_invariants(m)
-        items = tuple(((m // d) % m, d, m - size, size) for d, size in truth.order_classes)
-        return replace(truth, degree_items=items)
 
-    monkeypatch.setattr(audit, "ground_truth", reference)
-    assert verdicts == audit_n(n, config)
+def per_class_degree_verdict(n, truth):
+    """T2.7's verdict on a closed-form record, one claim per order class.
+
+    The classes ascend by order, and the class of order d is represented
+    by (n // d) % n. Each of its s vertices has degree n - s, so a
+    deviating class adds s deviating vertices, and the first deviating
+    vertex is the representative of the deviating class of least order.
+    """
+    phi = zn.euler_phi(n)
+    claimed = f"{n - 1} (involutions) / {n - phi} (units) / {phi + 2} or {phi + 1} (rest)"
+    deviating, first_bad = 0, None
+    for d, size in truth.order_classes:
+        a = (n // d) % n
+        claim = claims.degree_claim(classify_residue(a, n), n)
+        if n - size not in claim:
+            deviating += size
+            first_bad = first_bad or (a, d, n - size, claim)
+    if first_bad is None:
+        return TheoremVerdict(
+            TheoremId.T2_7, n, claimed, "all degrees as claimed", Status.MATCH, None,
+            truth.tier,
+        )
+    a, d, degree, claim = first_bad
+    witness = (
+        f"vertex {a} (order {d}) has degree {degree}, "
+        f"claimed {' or '.join(map(str, claim))}; {deviating} of {n} vertices deviate"
+    )
+    return TheoremVerdict(
+        TheoremId.T2_7, n, claimed, f"vertex {a} has degree {degree}", Status.MISMATCH,
+        witness, truth.tier,
+    )
 
 
 @pytest.mark.parametrize(
@@ -445,17 +474,41 @@ def test_oracle_tier_looks_up_one_kind_per_order(n, monkeypatch):
     assert calls == {"degree_claim": n, "order_kind": zn.divisor_count(n)}
 
 
-def test_degree_item_with_a_foreign_order_raises():
+def test_vertex_with_a_foreign_order_raises():
     truth = ground_truth(12, AuditConfig())
-    vertex, order, degree, size = truth.degree_items[5]
-    doctored_items = list(truth.degree_items)
-    doctored_items[5] = (vertex, 5, degree, size)
+    doctored_orders = list(truth.vertex_orders)
+    doctored_orders[5] = 5
     [t2_7] = [claim for claim in CLAIMS if claim.theorem is TheoremId.T2_7]
     with pytest.raises(ValueError, match="does not divide"):
-        _verdict(t2_7, 12, replace(truth, degree_items=tuple(doctored_items)), True)
+        _verdict(t2_7, 12, replace(truth, vertex_orders=tuple(doctored_orders)), True)
 
 
-def test_degree_item_with_an_order_outside_the_order_classes_raises():
+def test_vertex_degree_off_its_claim_is_the_witness():
+    # At 30, vertex 1 is a unit of degree 30 - phi(30) = 22, as claimed,
+    # and vertex 2 (order 15, degree 22) the first vertex that deviates.
+    truth = ground_truth(30, AuditConfig())
+    [t2_7] = [claim for claim in CLAIMS if claim.theorem is TheoremId.T2_7]
+    before = _verdict(t2_7, 30, truth, True)
+    assert before.witness.startswith("vertex 2 (order 15) has degree 22, ")
+    deviating = int(before.witness.split("; ")[1].split()[0])
+    assert deviating == sum(
+        naive_degree(a, 30) not in claims.degree_claim(classify_residue(a, 30), 30)
+        for a in range(30)
+    )
+    doctored_degrees = list(truth.vertex_degrees)
+    doctored_degrees[1] = 23
+    after = _verdict(t2_7, 30, replace(truth, vertex_degrees=tuple(doctored_degrees)), True)
+    assert after.status is Status.MISMATCH
+    assert after.observed == "vertex 1 has degree 23"
+    assert after.witness == (
+        f"vertex 1 (order 30) has degree 23, claimed 22; {deviating + 1} of 30 vertices deviate"
+    )
+    classes = tuple(cls for cls in truth.order_classes if cls[0] != 30)
+    with pytest.raises(ValueError, match="order 30 divides 30 but has no order class"):
+        _verdict(t2_7, 30, replace(truth, order_classes=classes), True)
+
+
+def test_vertex_order_outside_the_order_classes_raises():
     truth = ground_truth(12, AuditConfig())
     classes = tuple(cls for cls in truth.order_classes if cls[0] != 6)
     [t2_7] = [claim for claim in CLAIMS if claim.theorem is TheoremId.T2_7]

@@ -34,8 +34,8 @@ def test_degree_matches_oracle(n):
     # Each vertex is adjacent to everything outside its own order class.
     sizes = dict(closed_form.invariants(n).order_classes)
     expected = tuple(n - sizes[d] for d in naive_orders(n))
-    items = oracle.invariants(oracle.build(n), exact_limit=2, hamiltonian_limit=2).degree_items
-    assert tuple(degree for _, _, degree, _ in items) == expected
+    record = oracle.invariants(oracle.build(n), exact_limit=2, hamiltonian_limit=2)
+    assert record.vertex_degrees == expected
 
 
 # The InvariantSet fields that do not depend on the search limits.

@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+from collections import Counter
 from itertools import accumulate
 
 import pytest
@@ -11,6 +12,7 @@ from indegraph.invariants import INFINITE
 
 from conftest import (
     bfs_expanding_every_layer,
+    classify_residue,
     naive_bipartite,
     naive_bipartite_of_rows,
     naive_chromatic_number,
@@ -78,8 +80,8 @@ def test_edges_sorted_and_complete():
 @given(moduli)
 def test_degrees(n):
     graph = oracle.build(n)
-    items = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2).degree_items
-    degs = [degree for _, _, degree, _ in items]
+    degs = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2).vertex_degrees
+    assert len(degs) == n
     for a in range(n):
         assert degs[a] == naive_degree(a, n)
     # handshake
@@ -581,7 +583,7 @@ def _without_edge_0_1(rows, full):
 # At n = 30 the order class of 5 is {6, 12, 18, 24}, of 15 the other
 # even non-multiples of 3, and 1 is a unit, of order 30. A change to one
 # row splits its twin class; a change to the whole class keeps it.
-@pytest.mark.parametrize(
+DOCTORED = pytest.mark.parametrize(
     "n, change",
     [
         (30, lambda rows, full: _set(rows, [6], int(str(rows[6] | 1 << 12)))),
@@ -612,8 +614,36 @@ def _without_edge_0_1(rows, full):
         "own-vertex-with-a-bit-above-n",
     ],
 )
+
+
+@DOCTORED
 def test_verify_multipartite_detects_deviation(n, change):
     assert not verified(_doctored(n, change))
+
+
+def assert_order_classes_by_definition(graph):
+    """The record's order classes, involutions and "neither" count against
+    the residues of Z_n, counted one by one."""
+    n = graph.n
+    record = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2)
+    assert record.order_classes == tuple(sorted(Counter(naive_orders(n)).items())), n
+    kinds = Counter(classify_residue(a, n) for a in range(n))
+    assert record.involutions == kinds[zn.INVOLUTION], n
+    assert record.neither == kinds[zn.NEITHER], n
+
+
+def test_order_classes_read_off_the_verified_twin_record():
+    for n in range(2, 513):
+        graph = oracle.build(n)
+        assert verified(graph), n
+        assert_order_classes_by_definition(graph)
+
+
+@DOCTORED
+def test_order_classes_of_an_unverified_graph_are_counted(n, change):
+    graph = _doctored(n, change)
+    assert not verified(graph)
+    assert_order_classes_by_definition(graph)
 
 
 def test_verify_multipartite_holds_under_a_vertex_permutation():
@@ -743,14 +773,13 @@ def test_verify_multipartite_of_one_vertex():
     assert not verified(oracle.IndependentGraph(1, (1,), (1,)))
 
 
-def test_degree_items_list_every_vertex_in_order():
+def test_vertex_columns_list_every_vertex_in_order():
     for n in range(2, 301):
         graph = oracle.build(n)
-        items = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2).degree_items
-        expected = tuple(
-            (a, graph.orders[a], graph.rows[a].bit_count(), 1) for a in range(n)
-        )
-        assert items == expected, n
+        record = oracle.invariants(graph, exact_limit=2, hamiltonian_limit=2)
+        # The orders column is the graph's own tuple, not a copy.
+        assert record.vertex_orders is graph.orders, n
+        assert record.vertex_degrees == tuple(row.bit_count() for row in graph.rows), n
 
 
 def test_orders_match_the_gcd_definition_up_to_the_build_limit():
